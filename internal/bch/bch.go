@@ -4,16 +4,22 @@
 // 10 check bits over GF(2^10)) and BCH-10 for the optimized four-level
 // baseline (Section 6.6: a 512-bit message with 100 check bits).
 //
-// Encoding is the classic systematic LFSR division by the generator
-// polynomial. Decoding computes syndromes, runs the Berlekamp–Massey
-// algorithm for the error-locator polynomial, and locates errors by Chien
-// search. Up to t bit errors per codeword are corrected; more are
-// reported (detection is probabilistic beyond the designed distance, as
-// for any BCH code).
+// Encoding divides msg(x)·x^parity by the generator polynomial a byte at
+// a time, the table-driven technique of CRCs: a 256-entry table of
+// b(x)·x^parity mod g(x), packed in 64-bit words, replaces eight steps of
+// the bit-serial LFSR (kept for codes with fewer than 8 check bits).
+// Decoding first recomputes the remainder of the received word; a zero
+// remainder means every syndrome is zero and the word is clean. Otherwise
+// the syndromes are evaluated on that remainder (g(α^j) = 0 for j ≤ 2t),
+// the Berlekamp–Massey algorithm finds the error-locator polynomial, and
+// Chien search locates the errors. Up to t bit errors per codeword are
+// corrected; more are reported (detection is probabilistic beyond the
+// designed distance, as for any BCH code).
 package bch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/gf2"
@@ -29,6 +35,11 @@ type Code struct {
 	field  *gf2.Field
 	gen    gf2.Poly
 	parity int // generator degree = number of check bits
+
+	// tab[b*words : (b+1)*words] holds b(x)·x^parity mod g(x) for each
+	// byte b, packed like bitvec words; nil when parity < 8.
+	tab   []uint64
+	words int // ⌈parity/64⌉
 }
 
 // New constructs BCH-t over GF(2^m) shortened to msgBits message bits.
@@ -60,7 +71,33 @@ func New(m, t, msgBits int) (*Code, error) {
 		return nil, fmt.Errorf("bch: message %d + parity %d exceeds code length %d",
 			msgBits, c.parity, field.N)
 	}
+	c.words = (c.parity + 63) / 64
+	if c.parity >= 8 {
+		c.buildTable()
+	}
 	return c, nil
+}
+
+// buildTable fills tab from the serial encodings of the eight one-bit
+// bytes, extending to all 256 by linearity.
+func (c *Code) buildTable() {
+	w := c.words
+	c.tab = make([]uint64, 256*w)
+	for k := 0; k < 8; k++ {
+		unit := bitvec.New(8)
+		unit.Set(k, 1)
+		copy(c.tab[(1<<k)*w:], c.encodeSerial(unit).Words())
+	}
+	for b := 3; b < 256; b++ {
+		low := b & -b
+		if low == b {
+			continue
+		}
+		dst, x, y := c.tab[b*w:(b+1)*w], c.tab[low*w:], c.tab[(b^low)*w:]
+		for i := range dst {
+			dst[i] = x[i] ^ y[i]
+		}
+	}
 }
 
 // Must is New panicking on error, for statically valid parameters.
@@ -99,10 +136,70 @@ func (c *Code) Encode(msg bitvec.Vector) bitvec.Vector {
 	if msg.Len() != c.MsgBits {
 		panic(fmt.Sprintf("bch: message length %d, want %d", msg.Len(), c.MsgBits))
 	}
-	// LFSR division of msg(x)·x^parity by gen(x), processing message bits
-	// from the highest coefficient down.
+	out := bitvec.New(c.parity)
+	var buf [stackWords]uint64
+	for i, w := range c.remainder(msg, &buf) {
+		out.SetUint(64*i, min(64, c.parity-64*i), w)
+	}
+	return out
+}
+
+// stackWords sizes the caller's remainder buffer: parities up to 256
+// bits (every code this repository builds) need no heap scratch.
+const stackWords = 4
+
+// remainder returns msg(x)·x^parity mod g(x) in c.words words, stored in
+// buf (zero on entry) when it is long enough. The message is taken a
+// byte at a time from its top, its high end zero-padded to a whole byte
+// (leading zeros leave the remainder unchanged): with
+// rem = hi(x)·x^(parity-8) + lo(x) and incoming byte d, the next
+// remainder is lo(x)·x^8 + tab[hi⊕d].
+func (c *Code) remainder(msg bitvec.Vector, buf *[stackWords]uint64) []uint64 {
+	var rem []uint64
+	if c.words <= stackWords {
+		rem = buf[:c.words]
+	} else {
+		rem = make([]uint64, c.words)
+	}
+	if c.tab == nil {
+		copy(rem, c.encodeSerial(msg).Words())
+		return rem
+	}
+	mw := msg.Words()
+	w := c.words
+	last := w - 1
+	lastMask := ^uint64(0)
+	if r := c.parity & 63; r != 0 {
+		lastMask = 1<<r - 1
+	}
+	topWord, topShift := (c.parity-8)>>6, uint((c.parity-8)&63)
+	for k := (c.MsgBits+7)/8 - 1; k >= 0; k-- {
+		hi := rem[topWord] >> topShift
+		if topShift > 56 {
+			hi |= rem[topWord+1] << (64 - topShift)
+		}
+		idx := int(byte(hi) ^ byte(mw[k>>3]>>(8*(k&7))))
+		for i := last; i > 0; i-- {
+			rem[i] = rem[i]<<8 | rem[i-1]>>56
+		}
+		rem[0] <<= 8
+		rem[last] &= lastMask
+		t := c.tab[idx*w : idx*w+w]
+		for i := range rem {
+			rem[i] ^= t[i]
+		}
+	}
+	return rem
+}
+
+// encodeSerial is the bit-serial LFSR division of msg(x)·x^parity by
+// g(x) for a message of any length. It serves codes with fewer than 8
+// check bits, builds the byte table, and is the tests' oracle for
+// Encode.
+func (c *Code) encodeSerial(msg bitvec.Vector) bitvec.Vector {
+	// Process message bits from the highest coefficient down.
 	rem := bitvec.New(c.parity)
-	for i := c.MsgBits - 1; i >= 0; i-- {
+	for i := msg.Len() - 1; i >= 0; i-- {
 		// feedback = incoming bit XOR current highest remainder bit
 		fb := msg.Get(i) ^ rem.Get(c.parity-1)
 		// shift remainder left by one
@@ -141,32 +238,37 @@ func (c *Code) Decode(msg, parity bitvec.Vector) DecodeResult {
 	if msg.Len() != c.MsgBits || parity.Len() != c.parity {
 		panic("bch: Decode length mismatch")
 	}
-	f := c.field
-
-	// Syndromes S_j = r(α^j), j = 1..2t, where bit positions map to
-	// polynomial degrees: parity bit j ↔ x^j, message bit i ↔ x^(parity+i).
-	synd := make([]uint32, 2*c.T+1)
-	anyNonzero := false
-	eval := func(deg int) {
-		for j := 1; j <= 2*c.T; j++ {
-			synd[j] ^= f.Exp(j * deg)
-		}
+	// r(x) mod g(x) = Encode(msg) ⊕ parity: the received word's
+	// remainder, with parity bit j ↔ x^j.
+	var buf [stackWords]uint64
+	rem := c.remainder(msg, &buf)
+	clean := true
+	for i, w := range parity.Words() {
+		rem[i] ^= w
+		clean = clean && rem[i] == 0
 	}
-	for i := parity.NextSet(0); i >= 0; i = parity.NextSet(i + 1) {
-		eval(i)
-	}
-	for i := msg.NextSet(0); i >= 0; i = msg.NextSet(i + 1) {
-		eval(c.parity + i)
-	}
-	for j := 1; j <= 2*c.T; j++ {
-		if synd[j] != 0 {
-			anyNonzero = true
-			break
-		}
-	}
-	if !anyNonzero {
+	if clean {
 		return DecodeResult{Corrected: 0, OK: true}
 	}
+
+	// Syndromes S_j = r(α^j) = rem(α^j), j = 1..2t, since g(α^j) = 0.
+	f := c.field
+	synd := make([]uint32, 2*c.T+1)
+	for i, w := range rem {
+		for ; w != 0; w &= w - 1 {
+			deg := 64*i + bits.TrailingZeros64(w)
+			for j := 1; j <= 2*c.T; j++ {
+				synd[j] ^= f.Exp(j * deg)
+			}
+		}
+	}
+	return c.correct(synd, msg, parity)
+}
+
+// correct finishes a decode from nonzero syndromes synd[1..2t]: it finds
+// the error locator, locates the errors, and flips them in place.
+func (c *Code) correct(synd []uint32, msg, parity bitvec.Vector) DecodeResult {
+	f := c.field
 
 	// Berlekamp–Massey: find the minimal LFSR (error locator σ) that
 	// generates the syndrome sequence.

@@ -79,6 +79,12 @@ func (e *Extended) Encode(msg bitvec.Vector) bitvec.Vector {
 // inconsistent can only arise from ≥ T+1 real errors, so it is
 // rejected and the corrections undone.
 func (e *Extended) Decode(msg, parity bitvec.Vector) DecodeResult {
+	return e.decode(msg, parity, e.code.Decode)
+}
+
+// decode is Decode with the bounded-distance decoder of the underlying
+// code supplied, so tests can run the extension over an oracle decoder.
+func (e *Extended) decode(msg, parity bitvec.Vector, decodeBCH func(msg, parity bitvec.Vector) DecodeResult) DecodeResult {
 	pb := e.code.ParityBits()
 	if msg.Len() != e.code.MsgBits || parity.Len() != pb+1 {
 		panic("bch: Extended.Decode length mismatch")
@@ -87,7 +93,7 @@ func (e *Extended) Decode(msg, parity bitvec.Vector) DecodeResult {
 	extBit := parity.Get(pb)
 
 	msgOrig := msg.Clone()
-	res := e.code.Decode(msg, bchPar)
+	res := decodeBCH(msg, bchPar)
 	if !res.OK {
 		return DecodeResult{Corrected: 0, OK: false}
 	}

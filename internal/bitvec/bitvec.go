@@ -5,6 +5,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -26,29 +27,45 @@ func New(n int) Vector {
 }
 
 // FromBytes builds a vector of n bits from packed little-endian bytes
-// (bit i is byte i/8, bit i%8).
+// (bit i is byte i/8, bit i%8). Bits of the last byte at or past n are
+// ignored.
 func FromBytes(b []byte, n int) Vector {
 	if n > len(b)*8 {
 		panic("bitvec: FromBytes length exceeds data")
 	}
 	v := New(n)
-	for i := 0; i < n; i++ {
-		if b[i/8]&(1<<(i%8)) != 0 {
-			v.Set(i, 1)
-		}
+	nb := (n + 7) / 8
+	full := nb / 8
+	for i := 0; i < full; i++ {
+		v.w[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
+	for i := 8 * full; i < nb; i++ {
+		v.w[full] |= uint64(b[i]) << (8 * (i & 7))
+	}
+	v.clearTail()
 	return v
 }
 
 // Bytes packs the vector into little-endian bytes (inverse of FromBytes).
 func (v Vector) Bytes() []byte {
 	out := make([]byte, (v.n+7)/8)
-	for i := 0; i < v.n; i++ {
-		if v.Get(i) != 0 {
-			out[i/8] |= 1 << (i % 8)
-		}
+	for i := range out {
+		out[i] = byte(v.w[i>>3] >> (8 * (i & 7)))
 	}
 	return out
+}
+
+// Words returns the packed storage: bit i is bit i%64 of word i/64, and
+// the bits of the last word at or past Len are zero. The slice aliases
+// the vector and must not be modified.
+func (v Vector) Words() []uint64 { return v.w }
+
+// clearTail zeroes the bits of the last word at or past n, the
+// invariant Equal and OnesCount rely on.
+func (v Vector) clearTail() {
+	if r := v.n & 63; r != 0 {
+		v.w[len(v.w)-1] &= 1<<r - 1
+	}
 }
 
 // Len returns the number of bits.
@@ -148,8 +165,8 @@ func (v Vector) Slice(from, to int) Vector {
 		panic("bitvec: bad slice bounds")
 	}
 	out := New(to - from)
-	for i := from; i < to; i++ {
-		out.Set(i-from, v.Get(i))
+	for i := range out.w {
+		out.w[i] = v.uint(from+64*i, min(64, out.n-64*i))
 	}
 	return out
 }
@@ -159,8 +176,8 @@ func (v Vector) CopyFrom(src Vector, dst int) {
 	if dst < 0 || dst+src.n > v.n {
 		panic("bitvec: CopyFrom out of range")
 	}
-	for i := 0; i < src.n; i++ {
-		v.Set(dst+i, src.Get(i))
+	for i, w := range src.w {
+		v.setUint(dst+64*i, min(64, src.n-64*i), w)
 	}
 }
 
@@ -170,11 +187,7 @@ func (v Vector) Uint(from, width int) uint64 {
 	if width < 0 || width > 64 || from < 0 || from+width > v.n {
 		panic("bitvec: bad Uint range")
 	}
-	var out uint64
-	for i := 0; i < width; i++ {
-		out |= uint64(v.Get(from+i)) << i
-	}
-	return out
+	return v.uint(from, width)
 }
 
 // SetUint writes the low width bits of val at [from, from+width).
@@ -182,8 +195,34 @@ func (v Vector) SetUint(from, width int, val uint64) {
 	if width < 0 || width > 64 || from < 0 || from+width > v.n {
 		panic("bitvec: bad SetUint range")
 	}
-	for i := 0; i < width; i++ {
-		v.Set(from+i, uint(val>>i)&1)
+	v.setUint(from, width, val)
+}
+
+// uint is Uint without the range check; the range spans at most two
+// words.
+func (v Vector) uint(from, width int) uint64 {
+	if width == 0 {
+		return 0
+	}
+	i, sh := from>>6, from&63
+	out := v.w[i] >> sh
+	if sh+width > 64 {
+		out |= v.w[i+1] << (64 - sh)
+	}
+	return out & (^uint64(0) >> (64 - width))
+}
+
+// setUint is SetUint without the range check.
+func (v Vector) setUint(from, width int, val uint64) {
+	if width == 0 {
+		return
+	}
+	mask := ^uint64(0) >> (64 - width)
+	val &= mask
+	i, sh := from>>6, from&63
+	v.w[i] = v.w[i]&^(mask<<sh) | val<<sh
+	if sh+width > 64 {
+		v.w[i+1] = v.w[i+1]&^(mask>>(64-sh)) | val>>(64-sh)
 	}
 }
 

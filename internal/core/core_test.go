@@ -478,6 +478,7 @@ func BenchmarkThreeLCWriteRead(b *testing.B) {
 	a := NewThreeLC(64, ThreeLCConfig{Array: noWear(1)})
 	data := pattern(9)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := i & 63
 		if err := a.Write(blk, data); err != nil {
@@ -493,6 +494,7 @@ func BenchmarkFourLCWriteRead(b *testing.B) {
 	a := NewFourLC(64, FourLCConfig{Array: noWear(1)})
 	data := pattern(9)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := i & 63
 		if err := a.Write(blk, data); err != nil {

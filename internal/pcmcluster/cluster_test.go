@@ -519,6 +519,12 @@ func TestClusterRestartedClientWins(t *testing.T) {
 	}
 	// The new write must outrank everything the predecessor stored…
 	for _, n := range nodes {
+		// WriteBlock returns at W acks, so the last replica's write may
+		// still be in flight: wait for it to land before checking.
+		waitFor(t, 5*time.Second, "the new write on "+n.addr, func() bool {
+			got, _, status := readNodeSlot(t, n.addr, b)
+			return status != slotOK || bytes.Equal(got, v2)
+		})
 		_, m, status := readNodeSlot(t, n.addr, b)
 		if status != slotOK || !m.newer(aMeta) {
 			t.Fatalf("node %s: version %d does not outrank predecessor's %d (status %v)",

@@ -1,8 +1,10 @@
 package pcmserve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -234,7 +236,8 @@ type LiveStats struct {
 	Model  string `json:"model"`
 	Levels int    `json:"levels"`
 	// Configuration echoes: sim-time refresh interval, model-safe age,
-	// wall-time write budget, time scale.
+	// wall-time write budget, time scale. SafeAgeSeconds is +Inf for a
+	// model that never needs refresh (3LCo); JSON carries that as null.
 	IntervalSeconds   float64 `json:"interval_seconds"`
 	SafeAgeSeconds    float64 `json:"safe_age_seconds"`
 	BudgetBytesPerSec float64 `json:"budget_bytes_per_sec"`
@@ -263,6 +266,41 @@ type LiveStats struct {
 	// and their cumulative bank-busy time.
 	StalledWrites uint64  `json:"stalled_writes"`
 	StallSeconds  float64 `json:"stall_seconds"`
+}
+
+// MarshalJSON encodes an unbounded (+Inf) safe age as null, which a
+// JSON number cannot carry.
+func (st LiveStats) MarshalJSON() ([]byte, error) {
+	type plain LiveStats
+	out := struct {
+		plain
+		SafeAgeSeconds *float64 `json:"safe_age_seconds"`
+	}{plain: plain(st)}
+	if !math.IsInf(st.SafeAgeSeconds, 1) {
+		out.SafeAgeSeconds = &st.SafeAgeSeconds
+	}
+	return json.Marshal(out)
+}
+
+// UnmarshalJSON is the inverse of MarshalJSON: a null safe age decodes
+// as +Inf.
+func (st *LiveStats) UnmarshalJSON(b []byte) error {
+	type plain LiveStats
+	in := struct {
+		*plain
+		SafeAgeSeconds json.RawMessage `json:"safe_age_seconds"`
+	}{plain: (*plain)(st)}
+	if err := json.Unmarshal(b, &in); err != nil {
+		return err
+	}
+	switch string(in.SafeAgeSeconds) {
+	case "":
+	case "null":
+		st.SafeAgeSeconds = math.Inf(1)
+	default:
+		return json.Unmarshal(in.SafeAgeSeconds, &st.SafeAgeSeconds)
+	}
+	return nil
 }
 
 // LiveStats aggregates the live-mode snapshot across shards (the zero

@@ -1,7 +1,9 @@
 package pcmserve
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +204,57 @@ func TestLiveThreeLCNeedsNoRefresh(t *testing.T) {
 	}
 	if st := g.LiveStats(); st.DebtBlocks != 0 {
 		t.Fatalf("3LCo reports refresh debt: %+v", st)
+	}
+}
+
+// TestLiveThreeLCStatsOverWire: the 3LCo model's safe age is unbounded
+// (+Inf), which a JSON number cannot carry. STATS must still encode —
+// the safe age as null — and decode back to +Inf, so the loadgen and
+// the cluster's capacity probe work against 3LCo live nodes.
+func TestLiveThreeLCStatsOverWire(t *testing.T) {
+	g := liveShards(t, 1, 32, LiveConfig{Levels: 3})
+	if safe := g.LiveStats().SafeAgeSeconds; !math.IsInf(safe, 1) {
+		t.Fatalf("3LCo safe age = %v, want +Inf", safe)
+	}
+	raw, err := json.Marshal(g.LiveStats())
+	if err != nil {
+		t.Fatalf("marshal 3LCo LiveStats: %v", err)
+	}
+	if !strings.Contains(string(raw), `"safe_age_seconds":null`) {
+		t.Fatalf("unbounded safe age not encoded as null: %s", raw)
+	}
+
+	addr := startServer(t, g, ServerConfig{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("STATS on a 3LCo live node: %v", err)
+	}
+	want := g.LiveStats()
+	want.SimSeconds = st.Live.SimSeconds
+	if !st.Live.Enabled || st.Live.Levels != 3 || st.Live != want {
+		t.Fatalf("STATS live = %+v, want %+v", st.Live, want)
+	}
+
+	// A finite safe age (4LCo) still travels as a number.
+	st4 := liveShards(t, 1, 8, LiveConfig{}).LiveStats()
+	if math.IsInf(st4.SafeAgeSeconds, 0) || st4.SafeAgeSeconds <= 0 {
+		t.Fatalf("4LCo safe age = %v, want finite and positive", st4.SafeAgeSeconds)
+	}
+	var back LiveStats
+	raw, err = json.Marshal(st4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != st4 {
+		t.Fatalf("4LCo LiveStats round trip: %+v, want %+v", back, st4)
 	}
 }
 
