@@ -133,15 +133,24 @@ func (c *Code) CodewordBits() int { return c.MsgBits + c.parity }
 // message bit i the coefficient of x^(parity+i) and parity bit j the
 // coefficient of x^j — the standard systematic form.
 func (c *Code) Encode(msg bitvec.Vector) bitvec.Vector {
+	out := bitvec.New(c.parity)
+	c.EncodeInto(msg, out)
+	return out
+}
+
+// EncodeInto is Encode overwriting parity, which must hold ParityBits
+// bits. It allocates nothing for parities up to 256 bits.
+func (c *Code) EncodeInto(msg, parity bitvec.Vector) {
 	if msg.Len() != c.MsgBits {
 		panic(fmt.Sprintf("bch: message length %d, want %d", msg.Len(), c.MsgBits))
 	}
-	out := bitvec.New(c.parity)
+	if parity.Len() != c.parity {
+		panic(fmt.Sprintf("bch: parity length %d, want %d", parity.Len(), c.parity))
+	}
 	var buf [stackWords]uint64
 	for i, w := range c.remainder(msg, &buf) {
-		out.SetUint(64*i, min(64, c.parity-64*i), w)
+		parity.SetUint(64*i, min(64, c.parity-64*i), w)
 	}
-	return out
 }
 
 // stackWords sizes the caller's remainder buffer: parities up to 256

@@ -34,16 +34,28 @@ func FromBytes(b []byte, n int) Vector {
 		panic("bitvec: FromBytes length exceeds data")
 	}
 	v := New(n)
-	nb := (n + 7) / 8
+	v.SetBytes(b)
+	return v
+}
+
+// SetBytes overwrites v with the first Len bits of packed little-endian
+// bytes, as FromBytes reads them, reusing v's storage.
+func (v Vector) SetBytes(b []byte) {
+	if v.n > len(b)*8 {
+		panic("bitvec: SetBytes length exceeds data")
+	}
+	nb := (v.n + 7) / 8
 	full := nb / 8
 	for i := 0; i < full; i++ {
 		v.w[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	for i := 8 * full; i < nb; i++ {
-		v.w[full] |= uint64(b[i]) << (8 * (i & 7))
+	if full < len(v.w) {
+		v.w[full] = 0
+		for i := 8 * full; i < nb; i++ {
+			v.w[full] |= uint64(b[i]) << (8 * (i & 7))
+		}
 	}
 	v.clearTail()
-	return v
 }
 
 // Bytes packs the vector into little-endian bytes (inverse of FromBytes).

@@ -69,6 +69,16 @@ func TestBytesMatchBitwise(t *testing.T) {
 		if !back.Equal(v) || !sameBits(back, v) {
 			t.Fatalf("n=%d: FromBytes(Bytes) = %v, want %v", n, back, v)
 		}
+
+		// SetBytes into a reused vector must overwrite every stale bit.
+		for i := range back.w {
+			back.w[i] = ^uint64(0)
+		}
+		back.SetBytes(dirty)
+		checkTail(t, "SetBytes", back)
+		if !back.Equal(v) || !sameBits(back, v) {
+			t.Fatalf("n=%d: SetBytes over stale bits = %v, want %v", n, back, v)
+		}
 	}
 }
 
@@ -213,6 +223,7 @@ func TestWordOpRangePanics(t *testing.T) {
 		"CopyFrom past end":  func() { v.CopyFrom(New(10), 91) },
 		"CopyFrom negative":  func() { v.CopyFrom(New(1), -1) },
 		"FromBytes too long": func() { FromBytes([]byte{0}, 9) },
+		"SetBytes too long":  func() { New(9).SetBytes([]byte{0}) },
 	} {
 		func() {
 			defer func() {

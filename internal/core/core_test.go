@@ -474,6 +474,59 @@ func TestStuckResetDuringOperation(t *testing.T) {
 	}
 }
 
+// TestThreeLCSteadyStateAllocs pins the 3LC pipeline's allocations:
+// once warm, Write allocates nothing and Read only the block it returns.
+func TestThreeLCSteadyStateAllocs(t *testing.T) {
+	for _, useHsiao := range []bool{false, true} {
+		a := NewThreeLC(4, ThreeLCConfig{UseHsiao: useHsiao, Array: noWear(3)})
+		data := pattern(5)
+		write := func() {
+			if err := a.Write(1, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read := func() {
+			if _, err := a.Read(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		read()
+		if n := testing.AllocsPerRun(100, write); n != 0 {
+			t.Errorf("%s: Write makes %v allocations, want 0", a.Name(), n)
+		}
+		if n := testing.AllocsPerRun(100, read); n != 1 {
+			t.Errorf("%s: Read makes %v allocations, want 1", a.Name(), n)
+		}
+	}
+}
+
+// TestThreeLCReadResultsAreNotShared checks that a returned block stays
+// the caller's: later reads and writes through the instance's reused
+// buffers must not change it.
+func TestThreeLCReadResultsAreNotShared(t *testing.T) {
+	a := NewThreeLC(2, ThreeLCConfig{Array: noWear(4)})
+	x, y := pattern(1), pattern(2)
+	for blk, d := range [][]byte{x, y} {
+		if err := a.Write(blk, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := a.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Write(1, pattern(3)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, x) {
+		t.Fatal("a returned block changed under later operations")
+	}
+}
+
 func BenchmarkThreeLCWriteRead(b *testing.B) {
 	a := NewThreeLC(64, ThreeLCConfig{Array: noWear(1)})
 	data := pattern(9)

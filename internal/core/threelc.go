@@ -23,7 +23,8 @@ const threeLCPairCells = 354
 // Hsiao buys guaranteed double-error detection for one extra check cell).
 type tecCodec interface {
 	ParityBits() int
-	Encode(msg bitvec.Vector) bitvec.Vector
+	// EncodeInto overwrites parity with msg's check bits.
+	EncodeInto(msg, parity bitvec.Vector)
 	// DecodeOK corrects in place and reports whether the word is clean
 	// or was fully corrected.
 	DecodeOK(msg, parity bitvec.Vector) bool
@@ -31,15 +32,15 @@ type tecCodec interface {
 
 type bchTEC struct{ c *bch.Code }
 
-func (b bchTEC) ParityBits() int                      { return b.c.ParityBits() }
-func (b bchTEC) Encode(m bitvec.Vector) bitvec.Vector { return b.c.Encode(m) }
-func (b bchTEC) DecodeOK(m, p bitvec.Vector) bool     { return b.c.Decode(m, p).OK }
+func (b bchTEC) ParityBits() int                  { return b.c.ParityBits() }
+func (b bchTEC) EncodeInto(m, p bitvec.Vector)    { b.c.EncodeInto(m, p) }
+func (b bchTEC) DecodeOK(m, p bitvec.Vector) bool { return b.c.Decode(m, p).OK }
 
 type hsiaoTEC struct{ c *hsiao.Code }
 
-func (h hsiaoTEC) ParityBits() int                      { return h.c.CheckBits }
-func (h hsiaoTEC) Encode(m bitvec.Vector) bitvec.Vector { return h.c.Encode(m) }
-func (h hsiaoTEC) DecodeOK(m, p bitvec.Vector) bool     { return h.c.Decode(m, p).OK }
+func (h hsiaoTEC) ParityBits() int                  { return h.c.CheckBits }
+func (h hsiaoTEC) EncodeInto(m, p bitvec.Vector)    { h.c.EncodeInto(m, p) }
+func (h hsiaoTEC) DecodeOK(m, p bitvec.Vector) bool { return h.c.Decode(m, p).OK }
 
 // ThreeLC is the paper's proposed architecture. See the package comment.
 type ThreeLC struct {
@@ -48,11 +49,26 @@ type ThreeLC struct {
 	mas         wearout.MarkAndSpare
 	parityCells int
 	blocks      []threeLCBlock
+	s           threeLCScratch
 }
 
 type threeLCBlock struct {
-	marked  map[int]bool // INV-marked pair positions
+	marked  map[int]bool // INV-marked pair positions; nil until the first marking
 	written bool
+}
+
+// threeLCScratch holds the buffers Write and Read reuse, so a write
+// allocates nothing and a read allocates only the block it returns. An
+// arch is driven by one goroutine at a time (see device.Device), and
+// every stage overwrites its buffer in full before it is read.
+type threeLCScratch struct {
+	bits      bitvec.Vector // the 512 data bits
+	cells     []int         // 342 3-ON-2 cell states
+	dataPairs []int         // 171 logical pair values
+	phys      []int         // 177 physical pair values
+	states    []int         // 354 intended (write) or sensed (read) cell states
+	msg       bitvec.Vector // the 708-bit TEC message
+	parity    bitvec.Vector // the TEC check bits
 }
 
 // ThreeLCConfig customizes the architecture.
@@ -85,16 +101,23 @@ func NewThreeLC(nBlocks int, cfg ThreeLCConfig) *ThreeLC {
 	if cfg.UseHsiao {
 		tec = hsiaoTEC{hsiao.Must(2 * threeLCPairCells)}
 	}
+	mas := wearout.PaperDesign()
 	a := &ThreeLC{
 		tec:         tec,
-		mas:         wearout.PaperDesign(),
+		mas:         mas,
 		parityCells: tec.ParityBits(),
 		blocks:      make([]threeLCBlock, nBlocks),
+		s: threeLCScratch{
+			bits:      bitvec.New(BlockBits),
+			cells:     make([]int, encoding.ThreeOnTwoCells(BlockBits)),
+			dataPairs: make([]int, mas.DataPairs),
+			phys:      make([]int, mas.TotalPairs()),
+			states:    make([]int, threeLCPairCells),
+			msg:       bitvec.New(2 * threeLCPairCells),
+			parity:    bitvec.New(tec.ParityBits()),
+		},
 	}
 	a.arr = pcmarray.New(m, nBlocks*a.CellsPerBlock(), cfg.Array)
-	for i := range a.blocks {
-		a.blocks[i].marked = map[int]bool{}
-	}
 	return a
 }
 
@@ -129,18 +152,19 @@ func (t *ThreeLC) Write(block int, data []byte) error {
 		return err
 	}
 	blk := &t.blocks[block]
-	bits := bitvec.FromBytes(data, BlockBits)
-	dataPairs := pairsFromCells(encoding.EncodeThreeOnTwo(bits))
+	s := &t.s
+	s.bits.SetBytes(data)
+	encoding.EncodeThreeOnTwoInto(s.cells, s.bits)
+	pairsFromCells(s.dataPairs, s.cells)
 
 	// Wearout can surface during this write; retry the layout after each
 	// new marking until it sticks or capacity is exhausted.
 	for attempt := 0; attempt <= t.mas.SparePairs+1; attempt++ {
-		phys, err := t.mas.Layout(dataPairs, blk.marked)
-		if err != nil {
+		if err := t.mas.LayoutInto(s.phys, s.dataPairs, blk.marked); err != nil {
 			return ErrWornOut
 		}
 		newFailure := false
-		for p, v := range phys {
+		for p, v := range s.phys {
 			c1, c2 := pairStates(v)
 			for k, state := range []int{c1, c2} {
 				cellIdx := t.base(block) + 2*p + k
@@ -150,6 +174,9 @@ func (t *ThreeLC) Write(block int, data []byte) error {
 				// Verify failure: a wearout event. Mark the whole pair
 				// INV (Section 6.4) and retry the layout.
 				if !blk.marked[p] {
+					if blk.marked == nil {
+						blk.marked = map[int]bool{}
+					}
 					blk.marked[p] = true
 					newFailure = true
 				}
@@ -165,14 +192,12 @@ func (t *ThreeLC) Write(block int, data []byte) error {
 		// All pairs written. Build the intended TEC message — marked
 		// pairs count as [S4, S4] even when a stuck-set cell physically
 		// cannot reach S4; BCH-1 hides such a cell at read time.
-		intended := make([]int, threeLCPairCells)
-		for p, v := range phys {
-			c1, c2 := pairStates(v)
-			intended[2*p], intended[2*p+1] = c1, c2
+		for p, v := range s.phys {
+			s.states[2*p], s.states[2*p+1] = pairStates(v)
 		}
-		msg := encoding.TECMessage3(intended)
-		parity := t.tec.Encode(msg)
-		t.writeParity(block, parity)
+		encoding.TECMessage3Into(s.msg, s.states)
+		t.tec.EncodeInto(s.msg, s.parity)
+		t.writeParity(block, s.parity)
 		blk.written = true
 		return nil
 	}
@@ -231,43 +256,40 @@ func (t *ThreeLC) Read(block int) ([]byte, error) {
 		return nil, fmt.Errorf("core: block %d never written", block)
 	}
 	// Stage 1: PCM array read.
-	states := make([]int, threeLCPairCells)
-	for i := range states {
-		states[i] = t.arr.Sense(t.base(block) + i)
+	s := &t.s
+	for i := range s.states {
+		s.states[i] = t.arr.Sense(t.base(block) + i)
 	}
-	parity := bitvec.New(t.tec.ParityBits())
 	for i := 0; i < t.parityCells; i++ {
+		var bit uint
 		if t.arr.Sense(t.base(block)+threeLCPairCells+i) == 2 {
-			parity.Set(i, 1)
+			bit = 1
 		}
+		s.parity.Set(i, bit)
 	}
 
 	// Stage 2: transient error correction (BCH-1 over the 2-bit-per-cell
 	// interpretation). Correction must run before mark-and-spare so a
 	// drift error cannot masquerade as (or hide) an INV mark.
-	msg := encoding.TECMessage3(states)
-	uncorrectable := !t.tec.DecodeOK(msg, parity)
-	cells, bad := encoding.CellsFromTECMessage3(msg)
-	if bad > 0 {
+	encoding.TECMessage3Into(s.msg, s.states)
+	uncorrectable := !t.tec.DecodeOK(s.msg, s.parity)
+	if encoding.CellsFromTECMessage3Into(s.states, s.msg) > 0 {
 		uncorrectable = true
 	}
 
 	// Stage 3: hard error correction (mark-and-spare).
-	pairs := make([]int, t.mas.TotalPairs())
-	for p := range pairs {
-		pairs[p] = encoding.PairIndex(cells[2*p], cells[2*p+1])
-	}
-	dataPairs, _, err := t.mas.Correct(pairs)
-	if err != nil {
+	pairsFromCells(s.phys, s.states)
+	if _, err := t.mas.CorrectInto(s.dataPairs, s.phys); err != nil {
 		return nil, ErrWornOut
 	}
 
 	// Stage 4: symbol decode (3-ON-2 back to bits).
-	out := bitsFromPairs(dataPairs, BlockBits)
+	bitsFromPairs(s.bits, s.dataPairs)
+	out := s.bits.Bytes()
 	if uncorrectable {
-		return out.Bytes(), ErrUncorrectable
+		return out, ErrUncorrectable
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // Scrub implements Arch: read, correct, re-write (restoring nominal
@@ -287,28 +309,28 @@ func (t *ThreeLC) Scrub(block int) error {
 // capacity consumed).
 func (t *ThreeLC) MarkedPairs(block int) int { return len(t.blocks[block].marked) }
 
-// pairsFromCells folds a cell-state slice into pair values 0..7.
-func pairsFromCells(cells []int) []int {
-	pairs := make([]int, len(cells)/2)
+// pairsFromCells folds cell states into the pair values 0..8 of pairs,
+// which holds half as many entries as cells.
+func pairsFromCells(pairs, cells []int) {
 	for p := range pairs {
 		pairs[p] = encoding.PairIndex(cells[2*p], cells[2*p+1])
 	}
-	return pairs
 }
 
 // pairStates unfolds a pair value 0..8 into two ternary states.
 func pairStates(v int) (int, int) { return v / 3, v % 3 }
 
-// bitsFromPairs reassembles data bits from non-INV pair values.
-func bitsFromPairs(pairs []int, nBits int) bitvec.Vector {
-	out := bitvec.New(nBits)
+// bitsFromPairs reassembles data bits from non-INV pair values into out,
+// overwriting every bit: pairs must carry at least out.Len() bits.
+func bitsFromPairs(out bitvec.Vector, pairs []int) {
+	if 3*len(pairs) < out.Len() {
+		panic("core: too few pairs for the data bits")
+	}
 	for p, v := range pairs {
 		for b := 0; b < 3; b++ {
-			i := 3*p + b
-			if i < nBits {
+			if i := 3*p + b; i < out.Len() {
 				out.Set(i, uint(v>>b)&1)
 			}
 		}
 	}
-	return out
 }

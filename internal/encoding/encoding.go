@@ -61,9 +61,18 @@ func ThreeOnTwoCells(dataBits int) int {
 // EncodeThreeOnTwo encodes a bit vector into ternary cell states, three
 // bits per pair, zero-padding the last partial triple.
 func EncodeThreeOnTwo(data bitvec.Vector) []int {
-	pairs := (data.Len() + 2) / 3
-	cells := make([]int, 0, 2*pairs)
-	for p := 0; p < pairs; p++ {
+	cells := make([]int, ThreeOnTwoCells(data.Len()))
+	EncodeThreeOnTwoInto(cells, data)
+	return cells
+}
+
+// EncodeThreeOnTwoInto is EncodeThreeOnTwo writing into dst, which must
+// hold exactly ThreeOnTwoCells(data.Len()) cells.
+func EncodeThreeOnTwoInto(dst []int, data bitvec.Vector) {
+	if len(dst) != ThreeOnTwoCells(data.Len()) {
+		panic(fmt.Sprintf("encoding: %d cells for %d bits of 3-ON-2", len(dst), data.Len()))
+	}
+	for p := 0; p < len(dst)/2; p++ {
 		var bits uint
 		for b := 0; b < 3; b++ {
 			i := 3*p + b
@@ -71,10 +80,8 @@ func EncodeThreeOnTwo(data bitvec.Vector) []int {
 				bits |= uint(data.Get(i)) << b
 			}
 		}
-		c1, c2 := EncodePair(bits)
-		cells = append(cells, c1, c2)
+		dst[2*p], dst[2*p+1] = EncodePair(bits)
 	}
-	return cells
 }
 
 // DecodeThreeOnTwo decodes ternary cell states into dataBits bits. Pairs
@@ -185,22 +192,37 @@ func TECState3(bits uint) (state int, ok bool) {
 // cells) this is the 708-bit BCH-1 message.
 func TECMessage3(cells []int) bitvec.Vector {
 	msg := bitvec.New(2 * len(cells))
+	TECMessage3Into(msg, cells)
+	return msg
+}
+
+// TECMessage3Into is TECMessage3 overwriting msg, which must hold exactly
+// two bits per cell.
+func TECMessage3Into(msg bitvec.Vector, cells []int) {
+	if msg.Len() != 2*len(cells) {
+		panic(fmt.Sprintf("encoding: %d-bit TEC message for %d cells", msg.Len(), len(cells)))
+	}
 	for i, s := range cells {
 		b := TECBits3(s)
 		msg.Set(2*i, b&1)
 		msg.Set(2*i+1, (b>>1)&1)
 	}
-	return msg
 }
 
 // CellsFromTECMessage3 converts a (corrected) TEC message back to ternary
 // states. badPatterns counts 10-patterns, which indicate miscorrection;
 // those cells are pinned to S4 so downstream INV detection stays sound.
 func CellsFromTECMessage3(msg bitvec.Vector) (cells []int, badPatterns int) {
-	if msg.Len()%2 != 0 {
-		panic("encoding: TEC message must have even length")
-	}
 	cells = make([]int, msg.Len()/2)
+	return cells, CellsFromTECMessage3Into(cells, msg)
+}
+
+// CellsFromTECMessage3Into is CellsFromTECMessage3 writing into cells,
+// which must hold exactly half as many entries as msg has bits.
+func CellsFromTECMessage3Into(cells []int, msg bitvec.Vector) (badPatterns int) {
+	if msg.Len() != 2*len(cells) {
+		panic(fmt.Sprintf("encoding: %d cells for a %d-bit TEC message", len(cells), msg.Len()))
+	}
 	for i := range cells {
 		bits := uint(msg.Get(2*i)) | uint(msg.Get(2*i+1))<<1
 		s, ok := TECState3(bits)
@@ -210,5 +232,5 @@ func CellsFromTECMessage3(msg bitvec.Vector) (cells []int, badPatterns int) {
 		}
 		cells[i] = s
 	}
-	return cells, badPatterns
+	return badPatterns
 }

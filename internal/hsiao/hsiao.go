@@ -82,18 +82,27 @@ func oddColumns(r int) []uint32 {
 
 // Encode returns the check bits of data.
 func (c *Code) Encode(data bitvec.Vector) bitvec.Vector {
+	parity := bitvec.New(c.CheckBits)
+	c.EncodeInto(data, parity)
+	return parity
+}
+
+// EncodeInto is Encode overwriting parity, which must hold CheckBits
+// bits.
+func (c *Code) EncodeInto(data, parity bitvec.Vector) {
 	if data.Len() != c.DataBits {
 		panic(fmt.Sprintf("hsiao: data length %d, want %d", data.Len(), c.DataBits))
+	}
+	if parity.Len() != c.CheckBits {
+		panic(fmt.Sprintf("hsiao: parity length %d, want %d", parity.Len(), c.CheckBits))
 	}
 	var syn uint32
 	for i := data.NextSet(0); i >= 0; i = data.NextSet(i + 1) {
 		syn ^= c.cols[i]
 	}
-	parity := bitvec.New(c.CheckBits)
 	for j := 0; j < c.CheckBits; j++ {
 		parity.Set(j, uint(syn>>uint(j))&1)
 	}
-	return parity
 }
 
 // Result reports a decode outcome.

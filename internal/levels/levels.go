@@ -2,6 +2,9 @@
 // paper — nominal log-resistance values, inter-state thresholds, and state
 // occurrence probabilities — and the constrained optimizer that produces
 // the "optimal mapping" designs (Sections 5.1 and 5.2, Figures 1, 6, 7).
+// As in the paper, the optimal mappings are solved once, offline: 4LCo
+// and 3LCo are frozen optimizer output, and a test reruns Optimize to
+// check that they still agree.
 //
 // Five mappings reproduce the paper's design points:
 //
@@ -18,7 +21,6 @@ package levels
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/drift"
 	"repro/internal/stats"
@@ -376,36 +378,30 @@ func goldenMin(x *float64, lo, hi float64, f func() float64) bool {
 	return false
 }
 
-var (
-	fourLCOptOnce  sync.Once
-	fourLCOptVal   Mapping
-	threeLCOptOnce sync.Once
-	threeLCOptVal  Mapping
-)
-
 // FourLCOpt returns 4LCo: the optimally mapped four-level cell with smart
-// encoding (Section 5.1, Figure 6). The optimizer result is computed once
-// and cached.
+// encoding (Section 5.1, Figure 6). As on the paper's chip, the mapping
+// is a design-time constant: the nominals and thresholds below are the
+// output of Optimize(FourLCSmart(), DefaultOptimizeOptions()), frozen as
+// literals and checked against a fresh optimizer run by
+// TestFrozenMappingsMatchOptimizer. Every call returns fresh slices.
 func FourLCOpt() Mapping {
-	fourLCOptOnce.Do(func() {
-		m := FourLCSmart()
-		m.Name = "4LCo"
-		fourLCOptVal = Optimize(m, DefaultOptimizeOptions())
-		fourLCOptVal.Name = "4LCo"
-	})
-	return fourLCOptVal
+	m := FourLCSmart()
+	m.Name = "4LCo"
+	m.Nominals = []float64{3, 3.9666669881625225, 4.9666669881625225, 6}
+	m.Thresholds = []float64{3.5, 4.5, 5.5333328510910995}
+	return m
 }
 
 // ThreeLCOpt returns 3LCo: the paper's proposed optimally mapped
-// three-level cell (Section 5.2, Figure 7). Cached after first use.
+// three-level cell (Section 5.2, Figure 7). Like FourLCOpt, it holds the
+// frozen output of Optimize(ThreeLCNaive(), DefaultOptimizeOptions()) in
+// fresh slices.
 func ThreeLCOpt() Mapping {
-	threeLCOptOnce.Do(func() {
-		m := ThreeLCNaive()
-		m.Name = "3LCo"
-		threeLCOptVal = Optimize(m, DefaultOptimizeOptions())
-		threeLCOptVal.Name = "3LCo"
-	})
-	return threeLCOptVal
+	m := ThreeLCNaive()
+	m.Name = "3LCo"
+	m.Nominals = []float64{3, 3.9666671304948786, 6}
+	m.Thresholds = []float64{3.5, 5.533332855010691}
+	return m
 }
 
 // All returns the five mappings of Figure 8 in presentation order.

@@ -1,7 +1,10 @@
 package levels
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +23,81 @@ func TestOptimizedMappingsValidate(t *testing.T) {
 	for _, m := range []Mapping{FourLCOpt(), ThreeLCOpt()} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
+		}
+	}
+}
+
+// TestFrozenMappingsMatchOptimizer reruns the Section 5.1 optimizer and
+// checks that the frozen 4LCo/3LCo literals are its output. The match is
+// exact on amd64; elsewhere pure-Go math.Exp may differ in the last ulp,
+// so each coordinate need only agree within 1e-9. On a mismatch the test
+// prints the literals to paste into FourLCOpt/ThreeLCOpt.
+func TestFrozenMappingsMatchOptimizer(t *testing.T) {
+	for _, tc := range []struct {
+		frozen Mapping
+		start  Mapping
+	}{
+		{FourLCOpt(), FourLCSmart()},
+		{ThreeLCOpt(), ThreeLCNaive()},
+	} {
+		want := Optimize(tc.start, DefaultOptimizeOptions())
+		want.Name = tc.frozen.Name
+		got := tc.frozen
+		var ok bool
+		if runtime.GOARCH == "amd64" {
+			ok = reflect.DeepEqual(got, want)
+		} else {
+			g, w := got, want
+			g.Nominals, g.Thresholds, w.Nominals, w.Thresholds = nil, nil, nil, nil
+			ok = reflect.DeepEqual(g, w) &&
+				closeSlices(got.Nominals, want.Nominals, 1e-9) &&
+				closeSlices(got.Thresholds, want.Thresholds, 1e-9)
+		}
+		if !ok {
+			t.Errorf("%s no longer matches the optimizer (GOARCH %s); frozen literals should be:\n"+
+				"\tm.Nominals = %#v\n\tm.Thresholds = %#v\nfull optimizer output: %+v",
+				got.Name, runtime.GOARCH, want.Nominals, want.Thresholds, want)
+		}
+	}
+}
+
+func closeSlices(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOptimalMappingsReturnFreshSlices guards against aliasing: a caller
+// that writes into a returned mapping must not change the mapping any
+// later caller gets.
+func TestOptimalMappingsReturnFreshSlices(t *testing.T) {
+	for _, ctor := range []func() Mapping{FourLCOpt, ThreeLCOpt} {
+		orig := ctor()
+		want := fmt.Sprintf("%#v", orig)
+		m := ctor()
+		for i := range m.Nominals {
+			m.Nominals[i] = -1
+		}
+		for i := range m.Thresholds {
+			m.Thresholds[i] = -1
+		}
+		for i := range m.Probs {
+			m.Probs[i] = -1
+		}
+		for i := range m.AlphaIdx {
+			m.AlphaIdx[i] = -1
+		}
+		if got := fmt.Sprintf("%#v", ctor()); got != want {
+			t.Errorf("%s changed after a caller mutated a returned copy:\ngot  %s\nwant %s", orig.Name, got, want)
+		}
+		if got := fmt.Sprintf("%#v", orig); got != want {
+			t.Errorf("%s: mutating one copy changed another:\ngot  %s\nwant %s", orig.Name, got, want)
 		}
 	}
 }

@@ -48,17 +48,22 @@ func DefaultOptions(seed uint64) Options {
 	}
 }
 
-// cell is the physical state of one PCM cell.
+// cell is the physical state of one PCM cell, packed into 48 bytes: a
+// served device holds hundreds of cells per block, so the record size is
+// most of a node's heap. The analog fields stay float64, so packing
+// changes no sampled value or sense result. Endurance is capped at
+// MaxInt32 and wear saturates, so uint32 keeps "wear > endurance" exact;
+// state and mode are small enumerations.
 type cell struct {
 	logR0     float64 // written log10 resistance
 	alpha     float64 // drift exponent
 	alpha2    float64 // post-switch exponent (3LC rate switch)
 	writeTime float64 // simulation time of the accepted write, seconds
-	state     int     // state accepted by write-and-verify
+	wear      uint32
+	endurance uint32
+	state     uint8 // state accepted by write-and-verify
+	mode      uint8 // a wearout.FailureMode
 	written   bool
-	wear      int
-	endurance int
-	mode      wearout.FailureMode
 }
 
 // Array is a drift-accurate PCM cell array under a level mapping.
@@ -83,6 +88,9 @@ func New(mapping levels.Mapping, n int, opt Options) *Array {
 	if n <= 0 {
 		panic("pcmarray: non-positive cell count")
 	}
+	if mapping.Levels() > math.MaxUint8+1 {
+		panic(fmt.Sprintf("pcmarray: %d levels do not fit a cell's state byte", mapping.Levels()))
+	}
 	a := &Array{
 		mapping: mapping,
 		specs:   mapping.Specs(),
@@ -92,12 +100,12 @@ func New(mapping levels.Mapping, n int, opt Options) *Array {
 	}
 	for i := range a.cells {
 		a.cells[i].endurance = a.sampleEndurance()
-		a.cells[i].mode = wearout.Healthy
+		a.cells[i].mode = uint8(wearout.Healthy)
 	}
 	return a
 }
 
-func (a *Array) sampleEndurance() int {
+func (a *Array) sampleEndurance() uint32 {
 	if a.opt.EnduranceMean <= 0 {
 		return math.MaxInt32
 	}
@@ -111,7 +119,7 @@ func (a *Array) sampleEndurance() int {
 	if v > math.MaxInt32 {
 		return math.MaxInt32
 	}
-	return int(v)
+	return uint32(v)
 }
 
 // Len returns the cell count.
@@ -151,23 +159,27 @@ func (a *Array) Write(i int, state int) (ok bool) {
 		panic(fmt.Sprintf("pcmarray: state %d out of range", state))
 	}
 	a.Writes++
-	if c.mode == wearout.Healthy {
-		c.wear++
+	mode := wearout.FailureMode(c.mode)
+	if mode == wearout.Healthy {
+		if c.wear < math.MaxUint32 {
+			c.wear++
+		}
 		if c.wear > c.endurance {
 			// The cell dies on this write: half stuck-reset, half
 			// stuck-set (Section 6.4's two failure modes).
 			if a.r.Float64() < 0.5 {
-				c.mode = wearout.StuckReset
+				mode = wearout.StuckReset
 			} else {
-				c.mode = wearout.StuckSet
+				mode = wearout.StuckSet
 			}
+			c.mode = uint8(mode)
 		}
 	}
-	switch c.mode {
+	switch mode {
 	case wearout.StuckReset, wearout.StuckSetRevived:
 		// Pinned at top state: the write verifies only if that was the
 		// target.
-		c.state = a.topState()
+		c.state = uint8(a.topState())
 		c.written = true
 		c.writeTime = a.now
 		c.logR0 = a.specs[a.topState()].Nominal // stuck cells do not drift across thresholds
@@ -182,7 +194,7 @@ func (a *Array) Write(i int, state int) (ok bool) {
 		// works); fall through to a normal write.
 	}
 	spec := a.specs[state]
-	c.state = state
+	c.state = uint8(state)
 	c.written = true
 	c.writeTime = a.now
 	c.logR0 = spec.SampleWrite(a.r)
@@ -204,7 +216,7 @@ func (a *Array) Sense(i int) int {
 	if !c.written {
 		return a.topState()
 	}
-	if s, pinned := c.mode.Pinned(a.topState()); pinned {
+	if s, pinned := wearout.FailureMode(c.mode).Pinned(a.topState()); pinned {
 		return s
 	}
 	elapsed := a.now - c.writeTime
@@ -223,7 +235,7 @@ func (a *Array) LogR(i int) float64 {
 	if !c.written {
 		return a.specs[a.topState()].Nominal
 	}
-	if _, pinned := c.mode.Pinned(a.topState()); pinned {
+	if _, pinned := wearout.FailureMode(c.mode).Pinned(a.topState()); pinned {
 		return a.specs[a.topState()].Nominal
 	}
 	elapsed := a.now - c.writeTime
@@ -235,35 +247,42 @@ func (a *Array) LogR(i int) float64 {
 }
 
 // Mode returns cell i's failure mode.
-func (a *Array) Mode(i int) wearout.FailureMode { return a.cells[i].mode }
+func (a *Array) Mode(i int) wearout.FailureMode { return wearout.FailureMode(a.cells[i].mode) }
 
 // Wear returns cell i's accumulated write count.
-func (a *Array) Wear(i int) int { return a.cells[i].wear }
+func (a *Array) Wear(i int) int { return int(a.cells[i].wear) }
 
 // InjectFailure forces a failure mode onto cell i (for fault-injection
 // tests and experiments).
 func (a *Array) InjectFailure(i int, mode wearout.FailureMode) {
-	a.cells[i].mode = mode
+	if mode < 0 || mode > math.MaxUint8 {
+		panic(fmt.Sprintf("pcmarray: failure mode %d out of range", mode))
+	}
+	a.cells[i].mode = uint8(mode)
 	if s, pinned := mode.Pinned(a.topState()); pinned {
-		a.cells[i].state = s
+		a.cells[i].state = uint8(s)
 		a.cells[i].written = true
 	}
 }
 
-// SetEndurance overrides cell i's endurance budget (fault injection).
-func (a *Array) SetEndurance(i, cycles int) { a.cells[i].endurance = cycles }
+// SetEndurance overrides cell i's endurance budget (fault injection):
+// the cell verifies cycles more writes in total, then fails on the next.
+// Budgets are clamped to [0, MaxUint32].
+func (a *Array) SetEndurance(i, cycles int) {
+	a.cells[i].endurance = uint32(min(uint64(max(cycles, 0)), math.MaxUint32))
+}
 
 // Revive attempts to force a stuck-set cell into the top state by a
 // reverse current pulse. It reports success; on success the cell behaves
 // as permanently top-state.
 func (a *Array) Revive(i int) bool {
 	c := &a.cells[i]
-	if c.mode != wearout.StuckSet {
+	if wearout.FailureMode(c.mode) != wearout.StuckSet {
 		return false
 	}
 	if a.r.Float64() < a.opt.ReviveProbability {
-		c.mode = wearout.StuckSetRevived
-		c.state = a.topState()
+		c.mode = uint8(wearout.StuckSetRevived)
+		c.state = uint8(a.topState())
 		c.written = true
 		return true
 	}

@@ -1,7 +1,11 @@
 package pcmarray
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/levels"
 	"repro/internal/wearout"
@@ -86,7 +90,7 @@ func TestThreeLCDriftFarSlower(t *testing.T) {
 		return float64(n) / float64(a.Len())
 	}
 	day := 86400.0
-	four := count(levels.FourLCNaive(), 2, day)  // S3 in 4LC
+	four := count(levels.FourLCNaive(), 2, day)   // S3 in 4LC
 	three := count(levels.ThreeLCNaive(), 1, day) // S2 in 3LC
 	if three > 0 && four/three < 100 {
 		t.Fatalf("3LC error rate %v not orders below 4LC %v", three, four)
@@ -245,6 +249,7 @@ func TestPanics(t *testing.T) {
 		"badState":  func() { a.Write(0, 5) },
 		"negAdv":    func() { a.Advance(-1) },
 		"zeroCells": func() { New(levels.ThreeLCNaive(), 0, DefaultOptions(1)) },
+		"badMode":   func() { a.InjectFailure(0, wearout.FailureMode(math.MaxUint8+1)) },
 	} {
 		func() {
 			defer func() {
@@ -254,6 +259,115 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestCellRecordSize guards the packed cell record: a served device
+// holds hundreds of cells per block, so the record size is most of its
+// heap.
+func TestCellRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(cell{}); got > 48 {
+		t.Fatalf("cell record is %d bytes, want <= 48", got)
+	}
+}
+
+func TestEnduranceBoundary(t *testing.T) {
+	for _, k := range []int{0, 1, 5, 37} {
+		a := newTestArray(t, levels.ThreeLCNaive(), 1)
+		a.SetEndurance(0, k)
+		for w := 1; w <= k; w++ {
+			if !a.Write(0, w%2) {
+				t.Fatalf("k=%d: write %d did not verify", k, w)
+			}
+			if a.Mode(0) != wearout.Healthy {
+				t.Fatalf("k=%d: cell failed on write %d", k, w)
+			}
+		}
+		a.Write(0, 0)
+		if a.Mode(0) == wearout.Healthy {
+			t.Fatalf("k=%d: cell still healthy after write %d", k, k+1)
+		}
+		if got := a.Wear(0); got != k+1 {
+			t.Fatalf("k=%d: wear %d, want %d", k, got, k+1)
+		}
+	}
+}
+
+func TestEnduranceDisabledIsMaxInt32(t *testing.T) {
+	a := newTestArray(t, levels.ThreeLCNaive(), 8)
+	for i := range a.cells {
+		if got := a.cells[i].endurance; got != math.MaxInt32 {
+			t.Fatalf("cell %d endurance %d with wear-out disabled, want MaxInt32", i, got)
+		}
+	}
+}
+
+func TestFailureModesRoundTrip(t *testing.T) {
+	modes := []wearout.FailureMode{wearout.Healthy, wearout.StuckReset, wearout.StuckSet, wearout.StuckSetRevived}
+	for _, m := range modes {
+		if m < 0 || m > math.MaxUint8 {
+			t.Fatalf("%v does not fit the cell's mode byte", m)
+		}
+		opt := DefaultOptions(5)
+		opt.EnduranceMean = 0
+		opt.ReviveProbability = 1
+		a := New(levels.ThreeLCNaive(), 1, opt)
+		a.InjectFailure(0, m)
+		if got := a.Mode(0); got != m {
+			t.Fatalf("injected %v, Mode reads %v", m, got)
+		}
+		revived := a.Revive(0)
+		want := m
+		if m == wearout.StuckSet {
+			want = wearout.StuckSetRevived
+		}
+		if revived != (m == wearout.StuckSet) || a.Mode(0) != want {
+			t.Fatalf("%v: Revive=%v, mode %v; want mode %v", m, revived, a.Mode(0), want)
+		}
+	}
+}
+
+// TestFixedSequenceFingerprint pins the observable state of an array
+// after a fixed sequence of writes, wear-outs, revivals and aging — wear
+// counts, failure modes, sensed states and analog resistances — to the
+// values the array produced before its cell record was packed.
+func TestFixedSequenceFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		m               levels.Mapping
+		wantWear        int
+		wantFailed      int
+		wantFingerprint uint64
+	}{
+		{levels.ThreeLCNaive(), 12101, 274, 0x26e7fe772c25d41},
+		{levels.FourLCNaive(), 12101, 274, 0xd83bd924964fef7f},
+	} {
+		opt := DefaultOptions(9)
+		opt.EnduranceMean = 40
+		opt.ReviveProbability = 0.5
+		a := New(tc.m, 300, opt)
+		for cycle := 0; cycle < 60; cycle++ {
+			for i := 0; i < a.Len(); i++ {
+				a.Write(i, (i+cycle)%tc.m.Levels())
+				if cycle%7 == 3 && a.Mode(i) == wearout.StuckSet {
+					a.Revive(i)
+				}
+			}
+			a.Advance(float64(cycle) * 100)
+		}
+		a.Advance(1e7)
+		h := fnv.New64a()
+		wear, failed := 0, 0
+		for i := 0; i < a.Len(); i++ {
+			wear += a.Wear(i)
+			if a.Mode(i) != wearout.Healthy {
+				failed++
+			}
+			fmt.Fprintf(h, "%d %d %d %x;", a.Wear(i), a.Mode(i), a.Sense(i), math.Float64bits(a.LogR(i)))
+		}
+		if wear != tc.wantWear || failed != tc.wantFailed || h.Sum64() != tc.wantFingerprint {
+			t.Errorf("%s: wear %d, failed %d, fingerprint %#x; want %d, %d, %#x",
+				tc.m.Name, wear, failed, h.Sum64(), tc.wantWear, tc.wantFailed, tc.wantFingerprint)
+		}
 	}
 }
 

@@ -45,31 +45,46 @@ var ErrTooManyFailures = fmt.Errorf("wearout: more INV pairs than spares")
 // hardware's cascade of MUX stages, expressed functionally — plus the
 // number of spare pairs consumed.
 func (m MarkAndSpare) Correct(pairs []int) (data []int, used int, err error) {
-	if len(pairs) != m.TotalPairs() {
-		return nil, 0, fmt.Errorf("wearout: got %d pairs, want %d", len(pairs), m.TotalPairs())
+	data = make([]int, m.DataPairs)
+	used, err = m.CorrectInto(data, pairs)
+	if err != nil {
+		return nil, used, err
 	}
-	data = make([]int, 0, m.DataPairs)
-	inv := 0
+	return data, used, nil
+}
+
+// CorrectInto is Correct writing the DataPairs logical pair values into
+// data, which must hold exactly DataPairs entries. On error the contents
+// of data are unspecified.
+func (m MarkAndSpare) CorrectInto(data, pairs []int) (used int, err error) {
+	if len(data) != m.DataPairs {
+		panic(fmt.Sprintf("wearout: %d-entry data buffer, want %d", len(data), m.DataPairs))
+	}
+	if len(pairs) != m.TotalPairs() {
+		return 0, fmt.Errorf("wearout: got %d pairs, want %d", len(pairs), m.TotalPairs())
+	}
+	n, inv := 0, 0
 	for _, p := range pairs {
 		if p < 0 || p > encoding.INV {
-			return nil, 0, fmt.Errorf("wearout: pair value %d out of range", p)
+			return 0, fmt.Errorf("wearout: pair value %d out of range", p)
 		}
 		if p == encoding.INV {
 			inv++
 			continue
 		}
-		if len(data) < m.DataPairs {
-			data = append(data, p)
+		if n < m.DataPairs {
+			data[n] = p
+			n++
 		}
 	}
 	if inv > m.SparePairs {
-		return nil, inv, ErrTooManyFailures
+		return inv, ErrTooManyFailures
 	}
-	if len(data) < m.DataPairs {
+	if n < m.DataPairs {
 		// Cannot happen when inv <= SparePairs, by counting.
-		return nil, inv, fmt.Errorf("wearout: internal shortfall: %d data pairs", len(data))
+		return inv, fmt.Errorf("wearout: internal shortfall: %d data pairs", n)
 	}
-	return data, inv, nil
+	return inv, nil
 }
 
 // Layout performs the write-side placement: given DataPairs logical pair
@@ -78,13 +93,26 @@ func (m MarkAndSpare) Correct(pairs []int) (data []int, used int, err error) {
 // marked positions pinned to INV, and unused spare positions padded with
 // zero. Correct is its exact inverse for any marking within capacity.
 func (m MarkAndSpare) Layout(data []int, marked map[int]bool) ([]int, error) {
+	out := make([]int, m.TotalPairs())
+	if err := m.LayoutInto(out, data, marked); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// LayoutInto is Layout writing the physical pair values into out, which
+// must hold exactly TotalPairs entries. On error the contents of out are
+// unspecified.
+func (m MarkAndSpare) LayoutInto(out, data []int, marked map[int]bool) error {
+	if len(out) != m.TotalPairs() {
+		panic(fmt.Sprintf("wearout: %d-entry layout buffer, want %d", len(out), m.TotalPairs()))
+	}
 	if len(data) != m.DataPairs {
-		return nil, fmt.Errorf("wearout: got %d data pairs, want %d", len(data), m.DataPairs)
+		return fmt.Errorf("wearout: got %d data pairs, want %d", len(data), m.DataPairs)
 	}
 	if len(marked) > m.SparePairs {
-		return nil, ErrTooManyFailures
+		return ErrTooManyFailures
 	}
-	out := make([]int, m.TotalPairs())
 	next := 0
 	for i := range out {
 		if marked[i] {
@@ -94,7 +122,7 @@ func (m MarkAndSpare) Layout(data []int, marked map[int]bool) ([]int, error) {
 		if next < len(data) {
 			v := data[next]
 			if v < 0 || v >= encoding.INV {
-				return nil, fmt.Errorf("wearout: data pair value %d invalid", v)
+				return fmt.Errorf("wearout: data pair value %d invalid", v)
 			}
 			out[i] = v
 			next++
@@ -103,9 +131,9 @@ func (m MarkAndSpare) Layout(data []int, marked map[int]bool) ([]int, error) {
 		}
 	}
 	if next < len(data) {
-		return nil, ErrTooManyFailures
+		return ErrTooManyFailures
 	}
-	return out, nil
+	return nil
 }
 
 // CellOverhead returns the scheme's cell overhead for tolerating n
