@@ -599,9 +599,9 @@ func report(c *pcmcluster.Cluster, dataErrors uint64) {
 		st.HintsQueued, st.HintsReplayed, st.HintsDroppedStale, st.HintsDroppedFull,
 		st.HintsDroppedObsolete, st.NodeDownTransitions)
 	if st.AntiEntropyPasses > 0 || st.AntiEntropyClean > 0 || st.MerkleDigestRPCs > 0 {
-		fmt.Printf("antientropy: passes=%d clean=%d unavailable=%d throttled=%d\n",
+		fmt.Printf("antientropy: passes=%d clean=%d unavailable=%d throttled=%d reads=%d slots=%d\n",
 			st.AntiEntropyPasses, st.AntiEntropyClean, st.AntiEntropyUnavailable,
-			st.AntiEntropyThrottled)
+			st.AntiEntropyThrottled, st.AntiEntropyReadRPCs, st.AntiEntropySlotsRead)
 		fmt.Printf("merkle: digest_rpcs=%d slots_fetched=%d parts(clean/divergent/unavailable)=%d/%d/%d fallback_sweeps=%d\n",
 			st.MerkleDigestRPCs, st.MerkleSlotsFetched,
 			st.MerklePartsClean, st.MerklePartsDivergent, st.MerklePartsUnavailable,

@@ -527,6 +527,57 @@ func TestThreeLCReadResultsAreNotShared(t *testing.T) {
 	}
 }
 
+// TestFourLCSteadyStateAllocs pins FourLC's scratch buffers: a write
+// with no verify failures allocates nothing, and a read allocates only
+// the block it returns.
+func TestFourLCSteadyStateAllocs(t *testing.T) {
+	a := NewFourLC(4, FourLCConfig{Array: noWear(3)})
+	data := pattern(5)
+	write := func() {
+		if err := a.Write(1, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		if _, err := a.Read(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	read()
+	if n := testing.AllocsPerRun(100, write); n != 0 {
+		t.Errorf("Write makes %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, read); n != 1 {
+		t.Errorf("Read makes %v allocations, want 1", n)
+	}
+}
+
+// TestFourLCReadResultsAreNotShared is TestThreeLCReadResultsAreNotShared
+// for FourLC.
+func TestFourLCReadResultsAreNotShared(t *testing.T) {
+	a := NewFourLC(2, FourLCConfig{Array: noWear(4)})
+	x, y := pattern(1), pattern(2)
+	for blk, d := range [][]byte{x, y} {
+		if err := a.Write(blk, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := a.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Write(1, pattern(3)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, x) {
+		t.Fatal("a returned block changed under later operations")
+	}
+}
+
 func BenchmarkThreeLCWriteRead(b *testing.B) {
 	a := NewThreeLC(64, ThreeLCConfig{Array: noWear(1)})
 	data := pattern(9)

@@ -27,11 +27,24 @@ type FourLC struct {
 	tec    *bch.Code
 	ecp    wearout.ECP
 	blocks []fourLCBlock
+	s      fourLCScratch
 }
 
 type fourLCBlock struct {
 	entries []wearout.Entry
 	written bool
+}
+
+// fourLCScratch holds the buffers Write and Read reuse, so a write
+// without verify failures allocates nothing and a read allocates only
+// the block it returns. An arch is driven by one goroutine at a time
+// (see device.Device), and every stage overwrites its buffer in full
+// before it is read.
+type fourLCScratch struct {
+	bits     bitvec.Vector // the 512 data bits, which are also the BCH-10 message
+	states   []int         // 256 data-cell states: Gray-encoded (write) or sensed (read)
+	parity   bitvec.Vector // the 100 BCH-10 check bits
+	failures map[int]int   // this write's verify failures: cell → intended state
 }
 
 // FourLCConfig customizes the architecture.
@@ -56,11 +69,18 @@ func NewFourLC(nBlocks int, cfg FourLCConfig) *FourLC {
 	if m.Levels() != 4 {
 		panic("core: FourLC requires a four-level mapping")
 	}
+	tec := bch.Must(10, 10, BlockBits) // BCH-10 over 512 bits
 	return &FourLC{
 		arr:    pcmarray.New(m, nBlocks*fourLCBlockCells, cfg.Array),
-		tec:    bch.Must(10, 10, BlockBits), // BCH-10 over 512 bits
+		tec:    tec,
 		ecp:    wearout.MLCECP(),
 		blocks: make([]fourLCBlock, nBlocks),
+		s: fourLCScratch{
+			bits:     bitvec.New(BlockBits),
+			states:   make([]int, fourLCDataCells),
+			parity:   bitvec.New(tec.ParityBits()),
+			failures: map[int]int{},
+		},
 	}
 }
 
@@ -90,17 +110,18 @@ func (f *FourLC) Write(block int, data []byte) error {
 		return err
 	}
 	blk := &f.blocks[block]
-	bits := bitvec.FromBytes(data, BlockBits)
-	states := encoding.EncodeGray4(bits)
+	s := &f.s
+	s.bits.SetBytes(data)
+	encoding.EncodeGray4Into(s.states, s.bits)
 
-	failures := map[int]int{}
-	for i, s := range states {
-		if f.arr.Write(f.base(block)+i, s) {
+	clear(s.failures)
+	for i, state := range s.states {
+		if f.arr.Write(f.base(block)+i, state) {
 			continue
 		}
-		failures[i] = s
+		s.failures[i] = state
 	}
-	entries, err := f.ecp.Allocate(failures)
+	entries, err := f.ecp.Allocate(s.failures)
 	if err != nil {
 		return ErrWornOut
 	}
@@ -109,13 +130,12 @@ func (f *FourLC) Write(block int, data []byte) error {
 	// TEC parity over the actual post-write states: hard-failed cells
 	// hold whatever they are stuck at, and the codeword matches that, so
 	// hard failures consume no BCH budget — ECP repairs them after TEC.
-	actual := make([]int, fourLCDataCells)
-	for i := range actual {
-		actual[i] = f.arr.Sense(f.base(block) + i)
+	for i := range s.states {
+		s.states[i] = f.arr.Sense(f.base(block) + i)
 	}
-	msg := encoding.DecodeGray4(actual)
-	parity := f.tec.Encode(msg)
-	f.writeParity(block, parity)
+	encoding.DecodeGray4Into(s.bits, s.states)
+	f.tec.EncodeInto(s.bits, s.parity)
+	f.writeParity(block, s.parity)
 	blk.written = true
 	return nil
 }
@@ -141,20 +161,20 @@ func (f *FourLC) Read(block int) ([]byte, error) {
 		return nil, fmt.Errorf("core: block %d never written", block)
 	}
 	// Stage 1: array read.
-	states := make([]int, fourLCDataCells)
-	for i := range states {
-		states[i] = f.arr.Sense(f.base(block) + i)
+	s := &f.s
+	for i := range s.states {
+		s.states[i] = f.arr.Sense(f.base(block) + i)
 	}
-	parity := bitvec.New(f.tec.ParityBits())
 	for i := 0; i < fourLCParityCells; i++ {
 		b := encoding.Gray4Decode(f.arr.Sense(f.base(block) + fourLCDataCells + i))
-		parity.Set(2*i, b&1)
-		parity.Set(2*i+1, (b>>1)&1)
+		s.parity.Set(2*i, b&1)
+		s.parity.Set(2*i+1, (b>>1)&1)
 	}
 
 	// Stage 2: transient error correction.
-	msg := encoding.DecodeGray4(states)
-	res := f.tec.Decode(msg, parity)
+	msg := s.bits
+	encoding.DecodeGray4Into(msg, s.states)
+	res := f.tec.Decode(msg, s.parity)
 	uncorrectable := !res.OK
 
 	// Stage 3: hard error correction — patch the intended states of

@@ -133,26 +133,44 @@ func Gray4Decode(state int) uint {
 
 // EncodeGray4 packs a bit vector two bits per four-level cell.
 func EncodeGray4(data bitvec.Vector) []int {
+	cells := make([]int, data.Len()/2)
+	EncodeGray4Into(cells, data)
+	return cells
+}
+
+// EncodeGray4Into is EncodeGray4 overwriting cells, which must hold
+// exactly one state per two bits.
+func EncodeGray4Into(cells []int, data bitvec.Vector) {
 	if data.Len()%2 != 0 {
 		panic("encoding: Gray block must hold an even number of bits")
 	}
-	cells := make([]int, data.Len()/2)
+	if len(cells) != data.Len()/2 {
+		panic(fmt.Sprintf("encoding: EncodeGray4Into needs %d cells, got %d", data.Len()/2, len(cells)))
+	}
 	for i := range cells {
 		bits := uint(data.Get(2*i)) | uint(data.Get(2*i+1))<<1
 		cells[i] = Gray4Encode(bits)
 	}
-	return cells
 }
 
 // DecodeGray4 unpacks four-level cells into bits.
 func DecodeGray4(cells []int) bitvec.Vector {
 	data := bitvec.New(2 * len(cells))
+	DecodeGray4Into(data, cells)
+	return data
+}
+
+// DecodeGray4Into is DecodeGray4 overwriting data, which must hold
+// exactly two bits per cell.
+func DecodeGray4Into(data bitvec.Vector, cells []int) {
+	if data.Len() != 2*len(cells) {
+		panic(fmt.Sprintf("encoding: DecodeGray4Into needs %d bits, got %d", 2*len(cells), data.Len()))
+	}
 	for i, s := range cells {
 		bits := Gray4Decode(s)
 		data.Set(2*i, bits&1)
 		data.Set(2*i+1, (bits>>1)&1)
 	}
-	return data
 }
 
 // TECBits3 maps a ternary cell state to the 2-bit pattern used when

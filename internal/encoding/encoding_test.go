@@ -138,6 +138,14 @@ func TestGray4RoundTrip(t *testing.T) {
 	if !DecodeGray4(cells).Equal(data) {
 		t.Fatal("Gray block round trip failed")
 	}
+	// The Into forms fully overwrite buffers that hold another block.
+	EncodeGray4Into(cells, randBits(r, 512))
+	EncodeGray4Into(cells, data)
+	bits := randBits(r, 512)
+	DecodeGray4Into(bits, cells)
+	if !bits.Equal(data) {
+		t.Fatal("Gray block round trip through reused buffers failed")
+	}
 }
 
 func TestTECBits3Adjacency(t *testing.T) {

@@ -13,10 +13,11 @@ import (
 //
 // When every replica of a partition speaks the range ops, the sweep is
 // a Merkle digest exchange (merkle.go): it reads O(divergence) slots,
-// not O(blocks). Replicas that answered a range op with ErrUnsupported
-// — old pcmserve builds — drop their partitions to the legacy per-slot
-// sweep, whose replica reads are metered by the sweep budget so a big
-// keyspace walk cannot starve foreground traffic.
+// not O(blocks). Coded clusters, and partitions with a replica that
+// answered a range op with ErrUnsupported (old pcmserve builds), take
+// the span sweep instead: every slot of the partition from every
+// replica, one read per replica per chunk, metered by the sweep budget
+// so a big keyspace walk cannot starve foreground traffic.
 func (c *Cluster) antiEntropyLoop(interval time.Duration) {
 	defer c.loops.Done()
 	t := time.NewTicker(interval)
@@ -48,7 +49,7 @@ func (c *Cluster) antiEntropyLoop(interval time.Duration) {
 }
 
 // sweepPartition reconciles one partition, preferring the Merkle
-// exchange and falling back to the metered per-slot sweep. The whole
+// exchange and falling back to the metered span sweep. The whole
 // partition sweep runs under one cause-tagged root trace, so its RPCs
 // show up server-side under an "antientropy" identity instead of
 // blending into foreground traffic.
@@ -63,16 +64,9 @@ func (c *Cluster) sweepPartition(part int64) {
 	defer ot.finish()
 	if c.coded {
 		// Coded replicas store different bytes by construction, so a
-		// digest exchange always "diverges" — the per-slot sweep with
+		// digest exchange always "diverges": the span sweep with
 		// stripe-aware election is the only meaningful reconciliation.
-		// Fragment slots are small (DataBytes/K + trailer), so the
-		// metered walk stays cheap.
-		for b := lo; b < lo+n; b++ {
-			if !c.aeTake(int64(len(reps)) * c.slotBytes) {
-				return // closing
-			}
-			c.sweepCodedBlock(ctx, ot, b, reps)
-		}
+		c.sweepSpan(ctx, ot, reps, lo, n, true)
 		return
 	}
 	if !c.disableMerkle {
@@ -89,11 +83,43 @@ func (c *Cluster) sweepPartition(part int64) {
 	}
 	c.met.mkFallback.Inc()
 	ot.mark("fallback_sweep")
-	for b := lo; b < lo+n; b++ {
-		if !c.aeTake(int64(len(reps)) * c.slotBytes) {
+	c.sweepSpan(ctx, ot, reps, lo, n, true)
+}
+
+// aeSpanBytes caps one replica's read in the sweep, far below
+// pcmserve.DefaultMaxFrame.
+const aeSpanBytes = 64 << 10
+
+// sweepSpan reconciles slots [lo, lo+n) across reps in chunks: each
+// chunk costs one ReadAtCtx per replica (readSpan), then every slot is
+// elected and repaired on its own, exactly as a per-slot sweep would.
+// When metered, each chunk first takes its bytes across all replicas
+// from the sweep budget; a chunk never exceeds the budget's burst, so
+// TryTake can always grant it eventually.
+func (c *Cluster) sweepSpan(ctx context.Context, ot *opTrace, reps []*node, lo, n int64, metered bool) {
+	perSlot := int64(len(reps)) * c.slotBytes
+	chunk := aeSpanBytes / c.slotBytes
+	if c.aeBudget != nil {
+		chunk = min(chunk, int64(c.aeBudget.Burst())/perSlot)
+	}
+	chunk = max(chunk, 1)
+	for off := int64(0); off < n; off += chunk {
+		m := min(chunk, n-off)
+		if metered && !c.aeTake(m*perSlot) {
 			return // closing
 		}
-		c.sweepBlockReplicas(ctx, ot, b, reps)
+		rctx, cancel := context.WithTimeout(ctx, c.opTimeout)
+		slots, rpcs := c.readSpan(rctx, ot, "sweep_span_read", reps, lo+off, m)
+		cancel()
+		c.met.aeReadRPCs.Add(uint64(rpcs))
+		c.met.aeSlotsRead.Add(uint64(m) * uint64(len(reps)))
+		for i, all := range slots {
+			if c.coded {
+				c.sweepCodedBlock(lo+off+int64(i), reps, all)
+			} else {
+				c.sweepBlockReplicas(ctx, ot, lo+off+int64(i), all)
+			}
+		}
 	}
 }
 
@@ -120,27 +146,11 @@ func (c *Cluster) aeTake(n int64) bool {
 	return true
 }
 
-// sweepBlockReplicas reconciles one block across the given replicas.
-// Replica reads run under the sweep's trace context with a per-block
-// deadline, so a wedged replica cannot stall the sweeper.
-func (c *Cluster) sweepBlockReplicas(ctx context.Context, ot *opTrace, b int64, reps []*node) {
-	readT := time.Now()
-	rctx, cancel := context.WithTimeout(ctx, c.opTimeout)
-	all := make([]replicaRead, 0, len(reps))
-	results := make(chan replicaRead, len(reps))
-	for _, n := range reps {
-		c.bg.Add(1)
-		go func(n *node) {
-			defer c.bg.Done()
-			results <- c.readReplica(rctx, n, b)
-		}(n)
-	}
-	for range reps {
-		all = append(all, <-results)
-	}
-	cancel()
-	ot.span("sweep_block_read", "", readT, nil)
-
+// sweepBlockReplicas reconciles one mirrored block from every
+// replica's reply (all, read by sweepSpan): the newest structurally
+// valid copy wins, and stale or corrupt copies are repaired from it
+// under the stripe lock.
+func (c *Cluster) sweepBlockReplicas(ctx context.Context, ot *opTrace, b int64, all []replicaRead) {
 	var winner replicaRead
 	found := false
 	for _, res := range all {

@@ -94,12 +94,18 @@ type Config struct {
 	// AntiEntropyInterval is the per-partition cadence of the background
 	// reconciliation sweep; 0 disables it.
 	AntiEntropyInterval time.Duration
-	// AntiEntropySweepBytesPerSec caps how fast the legacy per-slot
-	// sweep reads replica data (default 4 MiB/s; negative disables the
-	// cap). The Merkle exchange is O(divergence) and is not metered.
+	// AntiEntropySweepBytesPerSec caps how fast the span sweep reads
+	// replica data (default 4 MiB/s; negative disables the cap). It
+	// meters the coded sweep and the mirrored fallback sweep, chunk by
+	// chunk: each chunk's reads across all replicas are taken from a
+	// bucket whose burst is one second's worth, and a chunk never
+	// exceeds that burst; New rejects a budget below one slot across
+	// every replica, which no chunk could fit. The Merkle exchange,
+	// and its reads of the divergent slots it finds, are
+	// O(divergence) and not metered.
 	AntiEntropySweepBytesPerSec float64
-	// DisableMerkleExchange forces the legacy per-slot sweep even when
-	// every replica supports the range ops.
+	// DisableMerkleExchange forces the span sweep even when every
+	// replica supports the range ops.
 	DisableMerkleExchange bool
 
 	// Seed decorrelates version tiebreak tags and node retry jitter
@@ -238,8 +244,9 @@ type Cluster struct {
 	// stable), read by Membership for progress reporting.
 	prog atomic.Pointer[transferProgress]
 
-	// aeBudget meters the legacy anti-entropy sweep's replica reads
-	// (nil = unmetered); disableMerkle forces that sweep everywhere.
+	// aeBudget meters the span sweep's replica reads, coded and
+	// mirrored fallback alike, one chunk at a time (nil = unmetered);
+	// disableMerkle forces that sweep on mirrored clusters too.
 	aeBudget      *pcmlive.Budget
 	disableMerkle bool
 
@@ -398,6 +405,13 @@ func New(cfg Config) (*Cluster, error) {
 		c.hedgeRTT.Store(uint64(hedgeInitRTT))
 	}
 	if cfg.AntiEntropySweepBytesPerSec > 0 {
+		// The bucket's burst is one second's worth, and the sweep's
+		// smallest take is one slot from every replica: a budget below
+		// that could never grant it, and the sweep would stall for good.
+		if floor := float64(int64(c.rf) * c.slotBytes); cfg.AntiEntropySweepBytesPerSec < floor {
+			return nil, fmt.Errorf("pcmcluster: anti-entropy budget %g B/s is below one slot across %d replicas (%g B)",
+				cfg.AntiEntropySweepBytesPerSec, c.rf, floor)
+		}
 		c.aeBudget = pcmlive.NewBudget(cfg.AntiEntropySweepBytesPerSec, cfg.AntiEntropySweepBytesPerSec)
 	}
 	c.disableMerkle = cfg.DisableMerkleExchange
@@ -669,21 +683,82 @@ func (r replicaRead) valid() bool {
 
 // readReplica reads block b's slot from one node.
 func (c *Cluster) readReplica(ctx context.Context, n *node, b int64) replicaRead {
-	if !n.admit() {
-		c.noteResult(n, false, errNodeDown)
-		return replicaRead{n: n, err: errNodeDown}
+	var res [1]replicaRead
+	c.readSlots(ctx, n, b, res[:])
+	return res[0]
+}
+
+// readSlots reads the len(dst) slots starting at lo from one node with
+// one ReadAtCtx and decodes them into dst, one reply per slot. A failed
+// read fails every slot with the same error, which it returns; issued
+// is false when the node's breaker refused the read before any RPC.
+func (c *Cluster) readSlots(ctx context.Context, n *node, lo int64, dst []replicaRead) (issued bool, err error) {
+	err = errNodeDown
+	var buf []byte
+	if issued = n.admit(); issued {
+		buf = make([]byte, int64(len(dst))*c.slotBytes)
+		_, err = n.client.ReadAtCtx(ctx, buf, lo*c.slotBytes)
 	}
-	buf := make([]byte, c.slotBytes)
-	_, err := n.client.ReadAtCtx(ctx, buf, b*c.slotBytes)
 	c.noteResult(n, false, err)
-	if err != nil {
-		return replicaRead{n: n, err: err}
+	for i := range dst {
+		if err != nil {
+			dst[i] = replicaRead{n: n, err: err}
+			continue
+		}
+		end := int64(i+1) * c.slotBytes
+		slot := buf[end-c.slotBytes : end : end]
+		ss := c.decodeStoredSlot(slot)
+		if ss.status == slotOK {
+			c.observeVersion(ss.meta.Version)
+		}
+		dst[i] = replicaRead{n: n, slot: slot, data: ss.data, meta: ss.meta, status: ss.status, fragIdx: ss.fragIdx}
 	}
-	ss := c.decodeStoredSlot(buf)
-	if ss.status == slotOK {
-		c.observeVersion(ss.meta.Version)
+	return issued, err
+}
+
+// readSpan reads slots [lo, lo+n) from every replica in reps — one
+// ReadAtCtx per replica, all in parallel — and returns the replies per
+// slot: out[i] holds slot lo+i's reply from each replica, in reps
+// order, as readReplica would have returned it. Each replica's read is
+// traced as one span named spanName; rpcs counts the reads issued.
+//
+// One uncorrectable device block fails a node's whole range read, so a
+// span read rejected as corrupt is retried slot by slot: the failure
+// stays confined to the slots it touches, as with per-slot reads.
+// Every other failure (a down node, a timeout, a shed) fails the
+// replica's whole span.
+func (c *Cluster) readSpan(ctx context.Context, ot *opTrace, spanName string, reps []*node, lo, n int64) (out [][]replicaRead, rpcs int) {
+	byRep := make([]replicaRead, int64(len(reps))*n)
+	var issued atomic.Int64
+	var wg sync.WaitGroup
+	for j, rep := range reps {
+		wg.Add(1)
+		go func(dst []replicaRead, rep *node) {
+			defer wg.Done()
+			readT := time.Now()
+			ok, err := c.readSlots(ctx, rep, lo, dst)
+			if ok {
+				issued.Add(1)
+			}
+			if err != nil && len(dst) > 1 && pcmserve.Classify(err) == pcmserve.ClassCorrupt {
+				for i := range dst {
+					if ok, _ := c.readSlots(ctx, rep, lo+int64(i), dst[i:i+1]); ok {
+						issued.Add(1)
+					}
+				}
+			}
+			ot.span(spanName, rep.addr, readT, err)
+		}(byRep[int64(j)*n:int64(j+1)*n], rep)
 	}
-	return replicaRead{n: n, slot: buf, data: ss.data, meta: ss.meta, status: ss.status, fragIdx: ss.fragIdx}
+	wg.Wait()
+	out = make([][]replicaRead, n)
+	for i := range out {
+		out[i] = make([]replicaRead, len(reps))
+		for j := range reps {
+			out[i][j] = byRep[int64(j)*n+int64(i)]
+		}
+	}
+	return out, int(issued.Load())
 }
 
 // writeReplica writes a stamped slot to one node, buffering a hint

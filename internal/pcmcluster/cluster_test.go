@@ -217,6 +217,7 @@ func TestClusterConfigValidation(t *testing.T) {
 		{"rf exceeds nodes", Config{Nodes: []string{"a:1", "b:1"}, ReplicationFactor: 3}, "exceeds 2 nodes"},
 		{"quorum exceeds rf", Config{Nodes: []string{"a:1", "b:1", "c:1"}, WriteQuorum: 4}, "exceed replication factor"},
 		{"non-intersecting quorums", Config{Nodes: []string{"a:1", "b:1", "c:1"}, WriteQuorum: 1, ReadQuorum: 2}, "must exceed replication factor"},
+		{"sweep budget below one slot", Config{Nodes: []string{"a:1", "b:1", "c:1"}, AntiEntropySweepBytesPerSec: 100}, "below one slot across 3 replicas"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

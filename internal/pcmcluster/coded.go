@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/ecstripe"
@@ -415,23 +414,16 @@ func (c *Cluster) realignFragment(b int64, n *node, pos int, dataFrags [][]byte,
 	mu.Lock()
 	defer mu.Unlock()
 	recheckT := time.Now()
-	cur := make([]byte, c.slotBytes)
-	if _, err := n.client.ReadAtCtx(ctx, cur, b*c.slotBytes); err != nil {
-		ot.span("realign_recheck", n.addr, recheckT, err)
-		c.noteResult(n, false, err)
+	cur := c.readReplica(ctx, n, b)
+	ot.span("realign_recheck", n.addr, recheckT, cur.err)
+	if cur.err != nil {
 		return
 	}
-	ss := c.decodeStoredSlot(cur)
-	if ss.status == slotOK {
-		c.observeVersion(ss.meta.Version)
-		aligned := ss.meta == winner && int(ss.fragIdx) == pos
-		if ss.meta.newer(winner) || aligned {
-			ot.span("realign_recheck", n.addr, recheckT, nil)
-			ot.mark("realign_skipped")
-			return
-		}
+	aligned := cur.meta == winner && int(cur.fragIdx) == pos
+	if cur.status == slotOK && (cur.meta.newer(winner) || aligned) {
+		ot.mark("realign_skipped")
+		return
 	}
-	ot.span("realign_recheck", n.addr, recheckT, nil)
 	writeT := time.Now()
 	_, werr := n.client.WriteAtCtx(ctx, slot, b*c.slotBytes)
 	ot.span("realign_write", n.addr, writeT, werr)
@@ -443,31 +435,15 @@ func (c *Cluster) realignFragment(b int64, n *node, pos int, dataFrags [][]byte,
 	c.met.ecRealigned.Inc()
 }
 
-// sweepCodedBlock is the coded-mode anti-entropy unit: read every
-// fragment of one stripe, elect the winner (all replies in, so the
-// possible-acks rule degenerates to plain count checks), and repair
-// stale, corrupt, or misaligned fragments by re-encoding from the K
-// survivors. The Merkle exchange is structurally useless here — coded
-// replicas store different bytes by design, so digests never match —
-// which is why sweepPartition routes coded clusters straight here.
-func (c *Cluster) sweepCodedBlock(ctx context.Context, ot *opTrace, b int64, reps []*node) {
-	readT := time.Now()
-	rctx, cancel := context.WithTimeout(ctx, c.opTimeout)
-	all := make([]replicaRead, 0, len(reps))
-	results := make(chan replicaRead, len(reps))
-	for _, n := range reps {
-		c.bg.Add(1)
-		go func(n *node) {
-			defer c.bg.Done()
-			results <- c.readReplica(rctx, n, b)
-		}(n)
-	}
-	for range reps {
-		all = append(all, <-results)
-	}
-	cancel()
-	ot.span("sweep_block_read", "", readT, nil)
-
+// sweepCodedBlock is the coded-mode anti-entropy unit: from every
+// fragment reply of one stripe (all, read by sweepSpan), elect the
+// winner (all replies in, so the possible-acks rule degenerates to
+// plain count checks) and repair stale, corrupt, or misaligned
+// fragments by re-encoding from the K survivors. The Merkle exchange
+// is structurally useless here — coded replicas store different bytes
+// by design, so digests never match — which is why sweepPartition
+// routes coded clusters straight to the span sweep.
+func (c *Cluster) sweepCodedBlock(b int64, reps []*node, all []replicaRead) {
 	el := c.electCoded(all, len(reps))
 	switch el.outcome {
 	case codedDone:
@@ -531,31 +507,7 @@ func (c *Cluster) transferSegmentCoded(ctx context.Context, ot *opTrace, ep *epo
 		return fmt.Errorf("pcmcluster: partition %d has no source besides the target", tp.part)
 	}
 
-	type srcRead struct {
-		buf []byte
-		err error
-	}
-	reads := make([]srcRead, len(srcs))
-	var wg sync.WaitGroup
-	for i, s := range srcs {
-		wg.Add(1)
-		go func(i int, s *node) {
-			defer wg.Done()
-			readT := time.Now()
-			if !s.admit() {
-				c.noteResult(s, false, errNodeDown)
-				reads[i].err = errNodeDown
-				ot.span("source_read", s.addr, readT, errNodeDown)
-				return
-			}
-			buf := make([]byte, n*c.slotBytes)
-			_, err := s.client.ReadAtCtx(ctx, buf, lo*c.slotBytes)
-			c.noteResult(s, false, err)
-			reads[i] = srcRead{buf: buf, err: err}
-			ot.span("source_read", s.addr, readT, err)
-		}(i, s)
-	}
-	wg.Wait()
+	reads, _ := c.readSpan(ctx, ot, "source_read", srcs, lo, n)
 
 	// Elect and re-encode per stripe. The target's own (unread) copy
 	// counts as a possible fragment holder alongside failed sources —
@@ -564,20 +516,7 @@ func (c *Cluster) transferSegmentCoded(ctx context.Context, ot *opTrace, ep *epo
 	nReps := len(srcs) + 1
 	pushes := make([][]byte, n) // nil = nothing to push
 	metas := make([]blockMeta, n)
-	for i := int64(0); i < n; i++ {
-		all := make([]replicaRead, 0, len(srcs))
-		for si, r := range reads {
-			if r.err != nil {
-				continue
-			}
-			ss := c.decodeStoredSlot(r.buf[i*c.slotBytes : (i+1)*c.slotBytes])
-			if ss.status == slotOK {
-				c.observeVersion(ss.meta.Version)
-			}
-			all = append(all, replicaRead{
-				n: srcs[si], data: ss.data, meta: ss.meta, fragIdx: ss.fragIdx, status: ss.status,
-			})
-		}
+	for i, all := range reads {
 		el := c.electCoded(all, nReps)
 		switch el.outcome {
 		case codedDone:
@@ -598,8 +537,8 @@ func (c *Cluster) transferSegmentCoded(ctx context.Context, ot *opTrace, ep *epo
 		default:
 			// Sources below the reconstruction bar; transient — the
 			// resume loop retries this segment once they recover.
-			return fmt.Errorf("%w: partition %d slot %d: %d replies of %d possible holders",
-				errTransferSources, tp.part, lo+i, len(all), nReps)
+			return fmt.Errorf("%w: partition %d slot %d: no version decidable from %d sources of %d possible holders",
+				errTransferSources, tp.part, lo+int64(i), len(all), nReps)
 		}
 	}
 
@@ -617,36 +556,28 @@ func (c *Cluster) transferSegmentCoded(ctx context.Context, ot *opTrace, ep *epo
 	// Fragment slots are small, so the full-slot read costs less than a
 	// mirrored trailer stride and validates the whole slot.
 	recheckT := time.Now()
-	if !tp.target.admit() {
-		c.noteResult(tp.target, false, errNodeDown)
-		return errNodeDown
-	}
-	tbuf := make([]byte, n*c.slotBytes)
-	_, terr := tp.target.client.ReadAtCtx(ctx, tbuf, lo*c.slotBytes)
-	c.noteResult(tp.target, false, terr)
+	cur := make([]replicaRead, n)
+	_, terr := c.readSlots(ctx, tp.target, lo, cur)
 	ot.span("target_recheck", tp.target.addr, recheckT, terr)
 	if terr != nil {
 		return terr
 	}
 
 	pushT := time.Now()
-	for i := int64(0); i < n; i++ {
+	for i, ts := range cur {
 		if pushes[i] == nil {
 			continue
 		}
-		ts := c.decodeStoredSlot(tbuf[i*c.slotBytes : (i+1)*c.slotBytes])
-		if ts.status == slotOK || ts.status == slotUnwritten {
-			aligned := ts.meta == metas[i] && int(ts.fragIdx) == tIdx
-			if ts.status == slotOK && (ts.meta.newer(metas[i]) || aligned) {
-				c.met.transferSlotsSkipped.Inc()
-				continue // target already at, past, or aligned with the winner
-			}
+		aligned := ts.meta == metas[i] && int(ts.fragIdx) == tIdx
+		if ts.status == slotOK && (ts.meta.newer(metas[i]) || aligned) {
+			c.met.transferSlotsSkipped.Inc()
+			continue // target already at, past, or aligned with the winner
 		}
 		if !tp.target.admit() {
 			c.noteResult(tp.target, true, errNodeDown)
 			return errNodeDown
 		}
-		_, err := tp.target.client.WriteAtCtx(ctx, pushes[i], (lo+i)*c.slotBytes)
+		_, err := tp.target.client.WriteAtCtx(ctx, pushes[i], (lo+int64(i))*c.slotBytes)
 		c.noteResult(tp.target, true, err)
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/pcmserve"
@@ -12,7 +13,7 @@ import (
 
 // Merkle anti-entropy.
 //
-// The legacy sweeper reads every slot from every replica once per
+// The span sweep reads every slot from every replica once per
 // pass — O(blocks × RF) reads even when nothing diverges, which dies
 // at production block counts. The Merkle exchange instead compares
 // hash-tree levels built on demand by each node over its raw slot
@@ -68,12 +69,19 @@ func (c *Cluster) merkleSweepPartition(ctx context.Context, ot *opTrace, part in
 		c.met.mkPartsClean.Inc()
 		return merkleClean
 	}
-	// Full-slot reconciliation, one divergent slot at a time — the only
-	// point where whole slots cross the wire, and the counter the
-	// O(divergence) acceptance bound is asserted against.
-	for _, b := range divergent {
-		c.met.mkSlotsFetched.Add(uint64(len(reps)))
-		c.sweepBlockReplicas(ctx, ot, b, reps)
+	// Full-slot reconciliation, one span read per run of adjacent
+	// divergent slots: the only point where whole slots cross the wire,
+	// and the counter the O(divergence) acceptance bound is asserted
+	// against. Unmetered, like the digest exchange that found them.
+	slices.Sort(divergent)
+	for i := 0; i < len(divergent); {
+		j := i + 1
+		for j < len(divergent) && divergent[j] == divergent[j-1]+1 {
+			j++
+		}
+		c.met.mkSlotsFetched.Add(uint64(len(reps) * (j - i)))
+		c.sweepSpan(ctx, ot, reps, divergent[i], int64(j-i), false)
+		i = j
 	}
 	c.met.mkPartsDivergent.Inc()
 	return merkleRepaired

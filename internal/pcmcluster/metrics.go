@@ -34,6 +34,7 @@ type metrics struct {
 	nodeTransitions                     *obs.Counter
 	aeClean, aeRepaired, aeUnavailable  *obs.Counter
 	aePasses, aeThrottled               *obs.Counter
+	aeReadRPCs, aeSlotsRead             *obs.Counter
 
 	// Overload response (see overload.go).
 	overloadEvents       *obs.Counter
@@ -118,14 +119,18 @@ func newMetrics(reg *obs.Registry, c *Cluster) *metrics {
 		"Times the breaker marked a node down.")
 
 	const aeName = "pcmcluster_antientropy_blocks_total"
-	const aeHelp = "Legacy anti-entropy sweep outcomes per block visited."
+	const aeHelp = "Span sweep outcomes per block visited (coded sweep, mirrored fallback sweep, Merkle-divergent slots)."
 	m.aeClean = reg.Counter(aeName, aeHelp, obs.L("outcome", "clean")...)
 	m.aeRepaired = reg.Counter(aeName, aeHelp, obs.L("outcome", "repaired")...)
 	m.aeUnavailable = reg.Counter(aeName, aeHelp, obs.L("outcome", "unavailable")...)
 	m.aePasses = reg.Counter("pcmcluster_antientropy_passes_total",
 		"Completed anti-entropy walks of the whole block space.")
 	m.aeThrottled = reg.Counter("pcmcluster_antientropy_throttled_total",
-		"Legacy sweep reads that waited on the read-rate budget.")
+		"Span sweep chunks that waited on the read-rate budget.")
+	m.aeReadRPCs = reg.Counter("pcmcluster_antientropy_read_rpcs_total",
+		"Replica span reads issued by anti-entropy (span sweeps and Merkle reconciliation).")
+	m.aeSlotsRead = reg.Counter("pcmcluster_antientropy_slots_read_total",
+		"Slot copies those span reads covered; divided by the read RPCs, the sweep's batching factor.")
 
 	m.overloadEvents = reg.Counter("pcmcluster_overload_events_total",
 		"Typed shed verdicts (overloaded / deadline exceeded) received from nodes; proof of life, never breaker evidence.")
@@ -316,6 +321,8 @@ type ClusterStats struct {
 	AntiEntropyUnavailable uint64 `json:"antientropy_unavailable"`
 	AntiEntropyPasses      uint64 `json:"antientropy_passes"`
 	AntiEntropyThrottled   uint64 `json:"antientropy_throttled"`
+	AntiEntropyReadRPCs    uint64 `json:"antientropy_read_rpcs"`
+	AntiEntropySlotsRead   uint64 `json:"antientropy_slots_read"`
 
 	// Overload response: typed shed verdicts received, ops dropped on a
 	// dry retry budget, brownout actions taken, and the current ladder
@@ -402,6 +409,8 @@ func (c *Cluster) Stats() ClusterStats {
 		AntiEntropyUnavailable: m.aeUnavailable.Value(),
 		AntiEntropyPasses:      m.aePasses.Value(),
 		AntiEntropyThrottled:   m.aeThrottled.Value(),
+		AntiEntropyReadRPCs:    m.aeReadRPCs.Value(),
+		AntiEntropySlotsRead:   m.aeSlotsRead.Value(),
 
 		OverloadEvents:       m.overloadEvents.Value(),
 		RetryBudgetExhausted: m.retryBudgetExhausted.Value(),

@@ -97,7 +97,7 @@ type node struct {
 
 	// role tracks the membership lifecycle; noMerkle latches when the
 	// node answers a range op with ErrUnsupported, steering anti-entropy
-	// to the legacy per-slot sweep for its ranges.
+	// to the span sweep for its ranges.
 	role     atomic.Int32
 	noMerkle atomic.Bool
 

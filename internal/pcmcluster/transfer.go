@@ -117,11 +117,11 @@ func (c *Cluster) runTransfer(ctx context.Context, ep *epoch, prog *transferProg
 }
 
 // transferSegment moves one contiguous run of slots to the target:
-// vectored reads from every current owner, per-slot winner election
-// (same version-then-CRC order as the read path), then stripe-locked
-// recheck-then-write pushes so a push can never clobber a newer
-// foreground write landing on the target through the dual-quorum
-// write path.
+// one span read from every current owner (readSpan), per-slot winner
+// election (same version-then-CRC order as the read path), then
+// stripe-locked recheck-then-write pushes so a push can never clobber
+// a newer foreground write landing on the target through the
+// dual-quorum write path.
 func (c *Cluster) transferSegment(ctx context.Context, ot *opTrace, ep *epoch, tp transferPart, lo, n int64) error {
 	if c.coded {
 		// Coded mode cannot forward slots verbatim: the target needs the
@@ -139,66 +139,26 @@ func (c *Cluster) transferSegment(ctx context.Context, ot *opTrace, ep *epoch, t
 		return fmt.Errorf("pcmcluster: partition %d has no source besides the target", tp.part)
 	}
 
-	// Vectored source reads, in parallel.
-	type srcRead struct {
-		buf []byte
-		err error
-	}
-	reads := make([]srcRead, len(srcs))
-	var wg sync.WaitGroup
-	for i, s := range srcs {
-		wg.Add(1)
-		go func(i int, s *node) {
-			defer wg.Done()
-			readT := time.Now()
-			if !s.admit() {
-				c.noteResult(s, false, errNodeDown)
-				reads[i].err = errNodeDown
-				ot.span("source_read", s.addr, readT, errNodeDown)
-				return
-			}
-			buf := make([]byte, n*SlotBytes)
-			_, err := s.client.ReadAtCtx(ctx, buf, lo*SlotBytes)
-			c.noteResult(s, false, err)
-			reads[i] = srcRead{buf: buf, err: err}
-			ot.span("source_read", s.addr, readT, err)
-		}(i, s)
-	}
-	wg.Wait()
-
 	// Per-slot winner election. Every slot needs at least R structurally
 	// valid source copies — the same bar a foreground read applies — or
 	// the segment is retried once sources recover.
+	reads, _ := c.readSpan(ctx, ot, "source_read", srcs, lo, n)
 	winners := make([][]byte, n) // nil = nothing to push
 	metas := make([]blockMeta, n)
-	for i := int64(0); i < n; i++ {
+	for i, all := range reads {
 		valids := 0
-		var winSlot []byte
-		var winMeta blockMeta
-		found := false
-		for _, r := range reads {
-			if r.err != nil {
-				continue
-			}
-			slot := r.buf[i*SlotBytes : (i+1)*SlotBytes]
-			_, meta, status := decodeSlot(slot)
-			if status == slotCorrupt {
+		for _, res := range all {
+			if !res.valid() {
 				continue
 			}
 			valids++
-			if status == slotOK {
-				c.observeVersion(meta.Version)
-				if !found || meta.newer(winMeta) {
-					winSlot, winMeta, found = slot, meta, true
-				}
+			if res.status == slotOK && (winners[i] == nil || res.meta.newer(metas[i])) {
+				winners[i], metas[i] = res.slot, res.meta
 			}
 		}
 		if valids < c.r {
 			return fmt.Errorf("%w: partition %d slot %d: %d/%d valid", errTransferSources,
-				tp.part, lo+i, valids, c.r)
-		}
-		if found {
-			winners[i], metas[i] = winSlot, winMeta
+				tp.part, lo+int64(i), valids, c.r)
 		}
 	}
 
